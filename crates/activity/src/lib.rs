@@ -23,7 +23,8 @@
 //! everything downstream, plus word-level operators like `Mul` and dynamic
 //! shifts) fall back to the correlation-ignoring algebraic propagation in
 //! `oiso_sim::analytic`. The result is an [`ActivityReport`] over the whole
-//! netlist plus per-cone summaries for every isolation candidate.
+//! netlist plus per-cone summaries for every isolation candidate, or an
+//! [`ActivityModel`] that derives only the nets a caller asks for.
 //!
 //! Calibration: `actbench` (in `oiso-bench`) and the repo's
 //! `activity_calibration` battery compare these static densities against
@@ -37,14 +38,14 @@ mod pair;
 
 pub use pair::ExprActivity;
 
-use oiso_bdd::NodeBudget;
+use oiso_bdd::{NodeBudget, ProbabilityMemo};
 use oiso_boolex::{BoolExpr, Signal};
 use oiso_netlist::{CellId, CellKind, NetId, Netlist};
-use oiso_sim::analytic::{propagate, spec_stats, BitStats};
+use oiso_sim::analytic::{propagate, spec_stats, ActivityEstimate, BitStats};
 use oiso_sim::{StimulusPlan, StimulusSpec};
 use oiso_techlib::{OperatingConditions, TechLibrary, Time};
-use pair::{ExactPass, RegTier, SourceBit};
-use std::collections::HashMap;
+use pair::{ExactPass, RegTier, SnapshotMemo, SourceBit};
+use std::collections::{HashMap, HashSet};
 
 /// Default BDD node budget for the exact pass. The count is *allocated*
 /// nodes (the `Bdd` never collects garbage), and the pass covers whole
@@ -105,6 +106,37 @@ pub struct ConeSummary {
     pub glitch: f64,
 }
 
+/// Per-net activity lookup: what a ranking reads, whether it comes from
+/// a full [`ActivityReport`] or an on-demand [`ActivityModel`]. Ranking
+/// formulas written against this trait give bit-identical results on
+/// both, because both answer every query from the same per-net values.
+pub trait ActivityLookup {
+    /// Per-bit activity of a net.
+    fn net_activity(&mut self, id: NetId) -> &NetActivity;
+
+    /// Total transition density of a net (toggles per cycle, all bits).
+    fn density(&mut self, id: NetId) -> f64 {
+        self.net_activity(id).bits.iter().map(|b| b.d).sum()
+    }
+
+    /// Activity of a Boolean expression over these nets, exact under the
+    /// pair model while the **shared** `budget` lasts.
+    fn expr_activity_budgeted(&mut self, expr: &BoolExpr, budget: &NodeBudget) -> ExprActivity {
+        let stats: HashMap<Signal, (f64, f64)> = expr
+            .support()
+            .into_iter()
+            .map(|sig| {
+                let bits = &self.net_activity(sig.net).bits;
+                let pd = bits
+                    .get(sig.bit as usize)
+                    .map_or((0.0, 0.0), |b| (b.p, b.d));
+                (sig, pd)
+            })
+            .collect();
+        pair::expr_activity_with(expr, |sig| stats[&sig], budget)
+    }
+}
+
 /// The full static-analysis result over a netlist.
 #[derive(Debug, Clone)]
 pub struct ActivityReport {
@@ -119,6 +151,12 @@ pub struct ActivityReport {
     pub bdd_nodes: usize,
     /// `true` when the node budget cut the exact pass short.
     pub budget_blown: bool,
+}
+
+impl ActivityLookup for &ActivityReport {
+    fn net_activity(&mut self, id: NetId) -> &NetActivity {
+        &self.nets[id.index()]
+    }
 }
 
 impl ActivityReport {
@@ -138,7 +176,8 @@ impl ActivityReport {
 
     /// Total transition density of a net (toggles per cycle, all bits).
     pub fn density(&self, id: NetId) -> f64 {
-        self.nets[id.index()].bits.iter().map(|b| b.d).sum()
+        let mut report = self;
+        ActivityLookup::density(&mut report, id)
     }
 
     /// Estimated glitch transitions per cycle inside a cell.
@@ -184,15 +223,280 @@ impl ActivityReport {
     /// [`NodeBudget`] handle, so many expression queries (e.g. ranking a
     /// whole candidate list) spend one run-level allowance once.
     pub fn expr_activity_budgeted(&self, expr: &BoolExpr, budget: &NodeBudget) -> ExprActivity {
-        pair::expr_activity_with(
-            expr,
-            |sig: Signal| {
-                let bits = &self.nets[sig.net.index()].bits;
-                bits.get(sig.bit as usize)
-                    .map_or((0.0, 0.0), |b| (b.p, b.d))
-            },
-            budget,
-        )
+        let mut report = self;
+        ActivityLookup::expr_activity_budgeted(&mut report, expr, budget)
+    }
+}
+
+/// The static activity model of a netlist, evaluated on demand.
+///
+/// Construction runs everything that fixes the source statistics: the
+/// algebraic base estimate, the exact BDD pass, the register fixpoint, the
+/// toggle reseed of unmodeled registers and the word-change seeds. After
+/// that the statistics are settled, and [`ActivityModel::net`] derives a
+/// net's per-bit `(p, d)` only when first asked, memoizing both the net
+/// and every probability sub-result. A caller that reads a handful of
+/// nets — the optimizer's candidate ranking — pays for those nets' miters
+/// only; [`analyze_activity_with_plan`] forces every net and gets the same
+/// values bit for bit.
+pub struct ActivityModel {
+    base: ActivityEstimate,
+    pass: ExactPass,
+    pseudo: HashSet<NetId>,
+    widths: Vec<usize>,
+    memo: SnapshotMemo,
+    nets: Vec<Option<NetActivity>>,
+}
+
+impl ActivityLookup for ActivityModel {
+    fn net_activity(&mut self, id: NetId) -> &NetActivity {
+        self.net(id)
+    }
+}
+
+impl ActivityModel {
+    /// Builds the model of `netlist` with input statistics drawn from
+    /// `plan`; inputs the plan does not drive are assumed uniform random.
+    pub fn new(netlist: &Netlist, plan: &StimulusPlan, opts: &ActivityOptions) -> ActivityModel {
+        // 1. Input statistics from the plan, then the algebraic base
+        //    estimate (register fixpoint included) over every net.
+        let mut input_stats: HashMap<NetId, Vec<BitStats>> = HashMap::new();
+        for &input in netlist.primary_inputs() {
+            let width = netlist.net(input).width();
+            let spec = plan
+                .spec_for(netlist.net(input).name())
+                .cloned()
+                .unwrap_or(StimulusSpec::UniformRandom);
+            input_stats.insert(input, spec_stats(&spec, width));
+        }
+        let base = propagate(netlist, &input_stats);
+
+        // 2. The exact BDD pair pass. Sources: primary inputs plus every
+        //    stateful cell's output, seeded from the algebraic fixpoint.
+        let mut source_nets: Vec<NetId> = netlist.primary_inputs().to_vec();
+        for (_, cell) in netlist.cells() {
+            if cell.kind().is_stateful() {
+                source_nets.push(cell.output());
+            }
+        }
+        source_nets.sort_by_key(|n| n.index());
+        source_nets.dedup();
+        let mut source_stats: HashMap<Signal, SourceBit> = HashMap::new();
+        for &net in &source_nets {
+            for (bit, stats) in base.bits(net).iter().enumerate() {
+                source_stats.insert(
+                    Signal {
+                        net,
+                        bit: bit as u8,
+                    },
+                    SourceBit::clamped(stats.p, stats.tr),
+                );
+            }
+        }
+        let mut pass = ExactPass::build(
+            netlist,
+            &source_stats,
+            &source_nets,
+            &NodeBudget::new(opts.node_budget),
+        );
+
+        // 2b. Outer refinement of the register-probability seeds. For every
+        //     structurally-modeled register, `Pr(q') = Pr(ite(en, D, q))` is
+        //     a function of the current seeds; iterating that map to its
+        //     fixpoint replaces the coarse algebraic seed with the BDD-exact
+        //     stationary probability (counters and FSM self-loops converge
+        //     here; the BDD *structure* never depends on the seeds, so no
+        //     rebuild is needed). Registers whose next functions are
+        //     toggle-based evaluate to their own probability (toggle
+        //     variables are absent from the value map), so they simply keep
+        //     their algebraic seeds.
+        //
+        //     The update is damped (`p ← (p + Pr(q'))/2`): a free-running
+        //     counter's exact map is a *permutation* of states — undamped
+        //     iteration walks the orbit forever and stops wherever the round
+        //     cap lands; the average contracts onto the orbit's stationary
+        //     mean instead, and true fixed points are unmoved. Each round
+        //     reads one snapshot, so its walks share one memo.
+        let regs: Vec<CellId> = netlist
+            .cells()
+            .filter(|(_, c)| c.kind().is_register())
+            .map(|(id, _)| id)
+            .collect();
+        for _ in 0..128 {
+            let snapshot = pass.stats.clone();
+            let mut memo = ProbabilityMemo::default();
+            let mut changed = 0.0f64;
+            for &cid in &regs {
+                let q = netlist.cell(cid).output();
+                for bit in 0..netlist.net(q).width() as usize {
+                    let Some(nxt) = pass.fns[q.index()].as_ref().map(|f| f.nxt[bit]) else {
+                        continue;
+                    };
+                    let p_next = pass.bdd.probability_memo(
+                        nxt,
+                        &|s| snapshot.get(&s).map_or(0.0, |b| b.p),
+                        &mut memo,
+                    );
+                    let sig = Signal {
+                        net: q,
+                        bit: bit as u8,
+                    };
+                    let s = pass
+                        .stats
+                        .get(&sig)
+                        .copied()
+                        .unwrap_or(SourceBit { p: 0.5, d: 0.0 });
+                    let p_new = (s.p + p_next) / 2.0;
+                    changed = changed.max((s.p - p_new).abs());
+                    pass.stats.insert(sig, SourceBit::clamped(p_new, s.d));
+                }
+            }
+            if changed < 1e-9 {
+                break;
+            }
+        }
+
+        // 2c. Re-derive toggle seeds for registers the pass could *not*
+        //     model structurally, now that enable probabilities are exact. A
+        //     rarely-enabled register holds values much older than one
+        //     cycle, so consecutive latched words approach independent
+        //     samples of the data — the fixpoint's resampling rule
+        //     `tr_D · p_en` undershoots there. Blend the two limits by the
+        //     chance the previous cycle also latched:
+        //     `d = p_en · (p_en · tr_D + (1 − p_en) · Pr(D ≠ q))`,
+        //     which reduces to the fixpoint seed at `p_en = 1`.
+        let snapshot = pass.stats.clone();
+        let mut memo = ProbabilityMemo::default();
+        for (_, cell) in netlist.cells() {
+            let CellKind::Reg { has_enable } = cell.kind() else {
+                continue;
+            };
+            let q = cell.output();
+            let tier = pass.reg_tiers.get(&q).copied().unwrap_or(RegTier::Plain);
+            if tier == RegTier::Structural {
+                continue; // density comes out of the structural miter instead
+            }
+            let algebraic_en = || base.bits(cell.inputs()[1])[0].p.clamp(0.0, 1.0);
+            let p_en = match tier {
+                RegTier::Gated { en } => match pass.fns[en.index()].as_ref() {
+                    Some(f) => pass.bdd.probability_memo(
+                        f.cur[0],
+                        &|s| snapshot.get(&s).map_or(0.0, |b| b.p),
+                        &mut memo,
+                    ),
+                    // The budget blew after the enable cone was gated in
+                    // but before phase B finished, which dropped the
+                    // enable's functions: use its algebraic probability.
+                    None => algebraic_en(),
+                },
+                _ if has_enable => algebraic_en(),
+                _ => 1.0,
+            };
+            if p_en < 1e-9 {
+                continue; // never enabled: the ~0 fixpoint seed stands
+            }
+            for (bit, d_stats) in base
+                .bits(cell.inputs()[0])
+                .iter()
+                .enumerate()
+                .take(netlist.net(q).width() as usize)
+            {
+                let sig = Signal {
+                    net: q,
+                    bit: bit as u8,
+                };
+                let p_d = d_stats.p.clamp(0.0, 1.0);
+                let tr_d = d_stats.tr.clamp(0.0, 1.0);
+                let p_q = snapshot.get(&sig).map_or(0.5, |s| s.p);
+                let mix = p_d * (1.0 - p_q) + p_q * (1.0 - p_d);
+                let d_marginal = p_en * (p_en * tr_d + (1.0 - p_en) * mix);
+                // Gated registers carry the *conditional* rate on the toggle
+                // variable (`Pr(t)` given the enable fired).
+                let d_eff = if matches!(tier, RegTier::Gated { .. }) {
+                    d_marginal / p_en
+                } else {
+                    d_marginal
+                };
+                pass.stats.insert(sig, SourceBit::clamped(p_q, d_eff));
+            }
+        }
+
+        // 2d. Seed each pseudo-source's word-change variable: Pr(W) — "any
+        //     operand bit changed this cycle" — evaluated under the settled
+        //     statistics. The downstream functions reference only this
+        //     single variable, so the operand cones never inflate their BDDs.
+        let snapshot = pass.stats.clone();
+        let mut memo = pair::PairMemo::new();
+        for &(net, w) in &pass.pseudo_words {
+            let p_w = pair::pair_probability(&pass.bdd, w, &snapshot, &mut memo);
+            pass.stats
+                .insert(pair::word_sig(net), SourceBit::clamped(p_w, 0.0));
+        }
+
+        ActivityModel {
+            base,
+            pseudo: pass.pseudo.iter().copied().collect(),
+            pass,
+            widths: netlist.nets().map(|(_, n)| n.width() as usize).collect(),
+            memo: SnapshotMemo::default(),
+            nets: (0..netlist.num_nets()).map(|_| None).collect(),
+        }
+    }
+
+    /// Per-bit activity of a net: exact where the pass reached, algebraic
+    /// elsewhere. Computed on first request, then memoized.
+    ///
+    /// Pseudo-source nets (multiplier outputs) are covered — their
+    /// densities come out of the word-change model — but are not marked
+    /// exact, since their values are modeled, not derived.
+    pub fn net(&mut self, id: NetId) -> &NetActivity {
+        if self.nets[id.index()].is_none() {
+            let activity = self.derive(id);
+            self.nets[id.index()] = Some(activity);
+        }
+        self.nets[id.index()].as_ref().expect("memoized above")
+    }
+
+    fn derive(&mut self, id: NetId) -> NetActivity {
+        if self.pass.fns[id.index()].is_none() {
+            return NetActivity {
+                bits: self
+                    .base
+                    .bits(id)
+                    .iter()
+                    .map(|b| {
+                        let p = b.p.clamp(0.0, 1.0);
+                        let d = b.tr.clamp(0.0, 2.0 * p.min(1.0 - p));
+                        BitActivity { p, d }
+                    })
+                    .collect(),
+                exact: false,
+            };
+        }
+        let bits = (0..self.widths[id.index()])
+            .map(|bit| {
+                let (p, d) = self
+                    .pass
+                    .bit_stats(id, bit, &mut self.memo)
+                    .expect("covered net has per-bit functions");
+                BitActivity { p, d }
+            })
+            .collect();
+        NetActivity {
+            bits,
+            exact: !self.pseudo.contains(&id),
+        }
+    }
+
+    /// BDD nodes allocated so far: the exact pass plus the miters of every
+    /// net derived up to now.
+    pub fn bdd_nodes(&self) -> usize {
+        self.pass.bdd.num_nodes()
+    }
+
+    /// `true` when the node budget cut the exact pass short.
+    pub fn budget_blown(&self) -> bool {
+        self.pass.blown
     }
 }
 
@@ -204,213 +508,30 @@ pub fn analyze_activity(netlist: &Netlist, opts: &ActivityOptions) -> ActivityRe
 
 /// Analyzes a netlist with input statistics drawn from a stimulus plan.
 /// Inputs the plan does not drive are assumed uniform random.
+///
+/// This is the [`ActivityModel`] forced over every net, plus static
+/// timing, glitch estimates and per-cone summaries.
 pub fn analyze_activity_with_plan(
     netlist: &Netlist,
     plan: &StimulusPlan,
     opts: &ActivityOptions,
 ) -> ActivityReport {
-    // 1. Input statistics from the plan, then the algebraic base estimate
-    //    (register fixpoint included) over every net.
-    let mut input_stats: HashMap<NetId, Vec<BitStats>> = HashMap::new();
-    for &input in netlist.primary_inputs() {
-        let width = netlist.net(input).width();
-        let spec = plan
-            .spec_for(netlist.net(input).name())
-            .cloned()
-            .unwrap_or(StimulusSpec::UniformRandom);
-        input_stats.insert(input, spec_stats(&spec, width));
-    }
-    let base = propagate(netlist, &input_stats);
+    // 1–2. Sources, the exact pass and the settled seeds.
+    let mut model = ActivityModel::new(netlist, plan, opts);
 
-    // 2. The exact BDD pair pass. Sources: primary inputs plus every
-    //    stateful cell's output, seeded from the algebraic fixpoint.
-    let mut source_nets: Vec<NetId> = netlist.primary_inputs().to_vec();
-    for (_, cell) in netlist.cells() {
-        if cell.kind().is_stateful() {
-            source_nets.push(cell.output());
-        }
+    // 3. Every net, in id order: the miters allocate in that order, which
+    //    fixes `bdd_nodes`.
+    for (id, _) in netlist.nets() {
+        model.net(id);
     }
-    source_nets.sort_by_key(|n| n.index());
-    source_nets.dedup();
-    let mut source_stats: HashMap<Signal, SourceBit> = HashMap::new();
-    for &net in &source_nets {
-        for (bit, stats) in base.bits(net).iter().enumerate() {
-            source_stats.insert(
-                Signal {
-                    net,
-                    bit: bit as u8,
-                },
-                SourceBit::clamped(stats.p, stats.tr),
-            );
-        }
-    }
-    let mut pass = ExactPass::build(
-        netlist,
-        &source_stats,
-        &source_nets,
-        &NodeBudget::new(opts.node_budget),
-    );
-
-    // 2b. Outer refinement of the register-probability seeds. For every
-    //     structurally-modeled register, `Pr(q') = Pr(ite(en, D, q))` is a
-    //     function of the current seeds; iterating that map to its fixpoint
-    //     replaces the coarse algebraic seed with the BDD-exact stationary
-    //     probability (counters and FSM self-loops converge here; the BDD
-    //     *structure* never depends on the seeds, so no rebuild is needed).
-    //     Registers whose next functions are toggle-based evaluate to their
-    //     own probability (toggle variables are absent from the value map),
-    //     so they simply keep their algebraic seeds.
-    //
-    //     The update is damped (`p ← (p + Pr(q'))/2`): a free-running
-    //     counter's exact map is a *permutation* of states — undamped
-    //     iteration walks the orbit forever and stops wherever the round
-    //     cap lands; the average contracts onto the orbit's stationary
-    //     mean instead, and true fixed points are unmoved.
-    let regs: Vec<CellId> = netlist
-        .cells()
-        .filter(|(_, c)| c.kind().is_register())
-        .map(|(id, _)| id)
+    let bdd_nodes = model.bdd_nodes();
+    let budget_blown = model.budget_blown();
+    let nets: Vec<NetActivity> = model
+        .nets
+        .into_iter()
+        .map(|n| n.expect("every net forced above"))
         .collect();
-    for _ in 0..128 {
-        let snapshot = pass.stats.clone();
-        let mut changed = 0.0f64;
-        for &cid in &regs {
-            let q = netlist.cell(cid).output();
-            for bit in 0..netlist.net(q).width() as usize {
-                let Some(nxt) = pass.fns[q.index()].as_ref().map(|f| f.nxt[bit]) else {
-                    continue;
-                };
-                let p_next = pass
-                    .bdd
-                    .probability(nxt, &|s| snapshot.get(&s).map_or(0.0, |b| b.p));
-                let sig = Signal {
-                    net: q,
-                    bit: bit as u8,
-                };
-                let s = pass.stats.get(&sig).copied().unwrap_or(SourceBit {
-                    p: 0.5,
-                    d: 0.0,
-                });
-                let p_new = (s.p + p_next) / 2.0;
-                changed = changed.max((s.p - p_new).abs());
-                pass.stats.insert(sig, SourceBit::clamped(p_new, s.d));
-            }
-        }
-        if changed < 1e-9 {
-            break;
-        }
-    }
-
-    // 2c. Re-derive toggle seeds for registers the pass could *not* model
-    //     structurally, now that enable probabilities are exact. A
-    //     rarely-enabled register holds values much older than one cycle,
-    //     so consecutive latched words approach independent samples of the
-    //     data — the fixpoint's resampling rule `tr_D · p_en` undershoots
-    //     there. Blend the two limits by the chance the previous cycle
-    //     also latched:
-    //     `d = p_en · (p_en · tr_D + (1 − p_en) · Pr(D ≠ q))`,
-    //     which reduces to the fixpoint seed at `p_en = 1`.
-    let snapshot = pass.stats.clone();
-    for (_, cell) in netlist.cells() {
-        let CellKind::Reg { has_enable } = cell.kind() else {
-            continue;
-        };
-        let q = cell.output();
-        let tier = pass.reg_tiers.get(&q).copied().unwrap_or(RegTier::Plain);
-        if tier == RegTier::Structural {
-            continue; // density comes out of the structural miter instead
-        }
-        let p_en = match tier {
-            RegTier::Gated { en } => {
-                let en_f = pass.fns[en.index()]
-                    .as_ref()
-                    .expect("gated register has a covered enable")
-                    .cur[0];
-                pass.bdd
-                    .probability(en_f, &|s| snapshot.get(&s).map_or(0.0, |b| b.p))
-            }
-            _ if has_enable => base.bits(cell.inputs()[1])[0].p.clamp(0.0, 1.0),
-            _ => 1.0,
-        };
-        if p_en < 1e-9 {
-            continue; // never enabled: the ~0 fixpoint seed stands
-        }
-        for (bit, d_stats) in base
-            .bits(cell.inputs()[0])
-            .iter()
-            .enumerate()
-            .take(netlist.net(q).width() as usize)
-        {
-            let sig = Signal {
-                net: q,
-                bit: bit as u8,
-            };
-            let p_d = d_stats.p.clamp(0.0, 1.0);
-            let tr_d = d_stats.tr.clamp(0.0, 1.0);
-            let p_q = snapshot.get(&sig).map_or(0.5, |s| s.p);
-            let mix = p_d * (1.0 - p_q) + p_q * (1.0 - p_d);
-            let d_marginal = p_en * (p_en * tr_d + (1.0 - p_en) * mix);
-            // Gated registers carry the *conditional* rate on the toggle
-            // variable (`Pr(t)` given the enable fired).
-            let d_eff = if matches!(tier, RegTier::Gated { .. }) {
-                d_marginal / p_en
-            } else {
-                d_marginal
-            };
-            pass.stats.insert(sig, SourceBit::clamped(p_q, d_eff));
-        }
-    }
-
-    // 2d. Seed each pseudo-source's word-change variable: Pr(W) — "any
-    //     operand bit changed this cycle" — evaluated under the settled
-    //     statistics. The downstream functions reference only this single
-    //     variable, so the operand cones never inflate their BDDs.
-    let snapshot = pass.stats.clone();
-    let words: Vec<_> = pass.pseudo_words.clone();
-    for (net, w) in words {
-        let p_w = pair::pair_probability(&mut pass.bdd, w, &snapshot);
-        pass.stats
-            .insert(pair::word_sig(net), SourceBit::clamped(p_w, 0.0));
-    }
-
-    // 3. Per-net activity: exact where the pass reached, algebraic else.
-    //    Pseudo-source nets (multiplier outputs) are covered — their
-    //    densities come out of the word-change model — but are not marked
-    //    exact, since their values are modeled, not derived.
-    let snapshot = pass.stats.clone();
-    let pseudo: std::collections::HashSet<NetId> = pass.pseudo.iter().copied().collect();
-    let mut nets = Vec::with_capacity(netlist.num_nets());
-    let mut exact_nets = 0usize;
-    for (id, net) in netlist.nets() {
-        let width = net.width() as usize;
-        let activity = match pass.fns[id.index()] {
-            Some(_) => {
-                let exact = !pseudo.contains(&id);
-                exact_nets += usize::from(exact);
-                let mut bits = Vec::with_capacity(width);
-                for bit in 0..width {
-                    let (p, d) = pass
-                        .bit_stats(id, bit, &snapshot)
-                        .expect("covered net has per-bit functions");
-                    bits.push(BitActivity { p, d });
-                }
-                NetActivity { bits, exact }
-            }
-            None => NetActivity {
-                bits: base
-                    .bits(id)
-                    .iter()
-                    .map(|b| {
-                        let p = b.p.clamp(0.0, 1.0);
-                        let d = b.tr.clamp(0.0, 2.0 * p.min(1.0 - p));
-                        BitActivity { p, d }
-                    })
-                    .collect(),
-                exact: false,
-            },
-        };
-        nets.push(activity);
-    }
+    let exact_nets = nets.iter().filter(|n| n.exact).count();
 
     // 4. Static timing for arrival windows and the glitch estimate.
     let lib = TechLibrary::generic_250nm();
@@ -462,8 +583,8 @@ pub fn analyze_activity_with_plan(
         clock_period_ns: period_ns,
         cones,
         exact_nets,
-        bdd_nodes: pass.bdd.num_nodes(),
-        budget_blown: pass.blown,
+        bdd_nodes,
+        budget_blown,
     }
 }
 
@@ -560,6 +681,49 @@ mod tests {
         let full = analyze_activity(&n, &ActivityOptions::default());
         assert!(!full.budget_blown, "default budget covers a 16-bit adder");
         assert!(full.net(s).exact);
+    }
+
+    #[test]
+    fn gated_register_survives_a_budget_blown_between_its_cones() {
+        // `r`'s enable cone fits the budget but the adder feeding its data
+        // does not, so `r` is gated on `en`; a budget blown later in phase
+        // B then drops `en`'s functions. The enable probability must fall
+        // back to the algebraic estimate instead of panicking.
+        let mut b = NetlistBuilder::new("gated");
+        let e1 = b.input("e1", 1);
+        let e2 = b.input("e2", 1);
+        let x = b.input("x", 16);
+        let y = b.input("y", 16);
+        let en = b.wire("en", 1);
+        let s = b.wire("s", 16);
+        let q = b.wire("q", 16);
+        b.cell("and", CellKind::And, &[e1, e2], en).unwrap();
+        b.cell("add", CellKind::Add, &[x, y], s).unwrap();
+        b.cell("r", CellKind::Reg { has_enable: true }, &[s, en], q)
+            .unwrap();
+        b.mark_output(q);
+        let n = b.build().unwrap();
+        let mut blown = 0;
+        for node_budget in (50..=2_500).step_by(25) {
+            let report = analyze_activity(
+                &n,
+                &ActivityOptions {
+                    node_budget,
+                    ..ActivityOptions::default()
+                },
+            );
+            blown += usize::from(report.budget_blown);
+            for (id, _) in n.nets() {
+                for bit in &report.net(id).bits {
+                    assert!(
+                        (0.0..=1.0).contains(&bit.p),
+                        "p out of range at {node_budget}"
+                    );
+                    assert!(bit.d.is_finite() && bit.d >= 0.0, "bad d at {node_budget}");
+                }
+            }
+        }
+        assert!(blown > 0, "the sweep must reach the blown-budget paths");
     }
 
     #[test]

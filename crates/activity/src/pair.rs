@@ -18,7 +18,7 @@
 //! correlation (lag-one) are both handled exactly; only correlation
 //! *between* distinct source bits is assumed away.
 
-use oiso_bdd::{Bdd, BddRef, NodeBudget};
+use oiso_bdd::{Bdd, BddRef, NodeBudget, ProbabilityMemo};
 use oiso_boolex::{BoolExpr, Signal};
 use oiso_netlist::{Cell, CellKind, Netlist};
 use std::collections::HashMap;
@@ -75,32 +75,44 @@ impl SourceBit {
     }
 }
 
+/// Sub-results of [`pair_probability`] walks, keyed by node and pending
+/// value branch.
+pub(crate) type PairMemo = HashMap<(BddRef, u8), f64>;
+
+/// Every probability sub-result under one settled statistics snapshot:
+/// plain `Pr(f)` walks and pair-model walks alike. Sharing one across all
+/// queries of a snapshot is sound because the pass never reorders or
+/// collects nodes, so a node index names one function for the manager's
+/// whole life; a new snapshot needs a new memo.
+#[derive(Default)]
+pub(crate) struct SnapshotMemo {
+    pub prob: ProbabilityMemo,
+    pub pair: PairMemo,
+}
+
 /// `Pr(f = 1)` under the pair model. `f` may mention both current-value and
 /// toggle variables; toggle probabilities are conditioned on the value
 /// branch when the interleaved order makes the value the direct ancestor.
+/// `memo` must only ever have seen walks under this same `stats`.
 pub(crate) fn pair_probability(
-    bdd: &mut Bdd,
+    bdd: &Bdd,
     f: BddRef,
     stats: &HashMap<Signal, SourceBit>,
+    memo: &mut PairMemo,
 ) -> f64 {
-    let mut cache = HashMap::new();
-    pair_prob_rec(bdd, f, None, stats, &mut cache)
+    pair_prob_rec(bdd, f, None, stats, memo)
 }
 
 fn pair_prob_rec(
-    bdd: &mut Bdd,
+    bdd: &Bdd,
     f: BddRef,
     pending: Option<(Signal, bool)>,
     stats: &HashMap<Signal, SourceBit>,
-    cache: &mut HashMap<(BddRef, u8), f64>,
+    cache: &mut PairMemo,
 ) -> f64 {
-    if f == BddRef::FALSE {
-        return 0.0;
-    }
-    if f == BddRef::TRUE {
-        return 1.0;
-    }
-    let top = bdd.top_var(f).expect("non-terminal node has a variable");
+    let Some((top, lo, hi)) = bdd.expand(f) else {
+        return if f == BddRef::TRUE { 1.0 } else { 0.0 };
+    };
     // A pending value branch only matters for its own toggle variable; once
     // the walk passes that position the context is spent.
     let pending = match pending {
@@ -118,7 +130,6 @@ fn pair_prob_rec(
     if let Some(&v) = cache.get(&key) {
         return v;
     }
-    let (lo, hi) = bdd.cofactor_by(f, top);
     let v = if is_toggle(top) {
         let s = stats
             .get(&base_sig(top))
@@ -470,21 +481,22 @@ impl ExactPass {
         pass
     }
 
-    /// Exact `(p, d)` of one covered net bit. `stats` must be a snapshot of
-    /// `self.stats` (passed separately so the BDD can be borrowed mutably).
+    /// Exact `(p, d)` of one covered net bit under the settled
+    /// `self.stats`; `memo` carries sub-results across every bit queried
+    /// under those statistics.
     pub fn bit_stats(
         &mut self,
         net: oiso_netlist::NetId,
         bit: usize,
-        stats: &HashMap<Signal, SourceBit>,
+        memo: &mut SnapshotMemo,
     ) -> Option<(f64, f64)> {
         let fns = self.fns[net.index()].as_ref()?;
         let (cur, nxt) = (*fns.cur.get(bit)?, *fns.nxt.get(bit)?);
-        let p = self
-            .bdd
-            .probability(cur, &|s| stats.get(&s).map_or(0.0, |b| b.p));
+        let stats = &self.stats;
+        let prob = |s| stats.get(&s).map_or(0.0, |b: &SourceBit| b.p);
+        let p = self.bdd.probability_memo(cur, &prob, &mut memo.prob);
         let miter = self.bdd.xor(cur, nxt);
-        let d = pair_probability(&mut self.bdd, miter, stats);
+        let d = pair_probability(&self.bdd, miter, &self.stats, &mut memo.pair);
         Some((p, d))
     }
 
@@ -776,7 +788,7 @@ pub(crate) fn expr_activity_with(
     }
     let p = bdd.probability(cur, &|s| stats.get(&s).map_or(0.0, |b| b.p));
     let miter = bdd.xor(cur, nxt);
-    let d = pair_probability(&mut bdd, miter, &stats);
+    let d = pair_probability(&bdd, miter, &stats, &mut PairMemo::new());
     ExprActivity { p, d, exact: true }
 }
 
@@ -824,9 +836,11 @@ fn algebraic_expr_activity(
     stats: &HashMap<Signal, SourceBit>,
 ) -> ExprActivity {
     let p = tree_probability(expr, stats);
+    // Support order, not map order: the product must not depend on the
+    // map's hash seed.
     let mut none_toggle = 1.0;
-    for bit in stats.values() {
-        none_toggle *= 1.0 - bit.d.clamp(0.0, 1.0);
+    for sig in expr.support() {
+        none_toggle *= 1.0 - stats[&sig].d.clamp(0.0, 1.0);
     }
     let d = ((1.0 - none_toggle) * 4.0 * p * (1.0 - p)).clamp(0.0, 1.0);
     ExprActivity { p, d, exact: false }

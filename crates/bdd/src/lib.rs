@@ -32,7 +32,7 @@ mod manager;
 mod parallel;
 mod synth;
 
-pub use manager::{Bdd, BddRef};
+pub use manager::{Bdd, BddRef, ProbabilityMemo};
 pub use parallel::BddOp;
 pub use synth::synthesize_bdd_into;
 

@@ -71,6 +71,10 @@ impl BddRef {
     }
 }
 
+/// Sub-results of [`Bdd::probability_memo`], keyed by node.
+#[derive(Debug, Default)]
+pub struct ProbabilityMemo(HashMap<u32, f64>);
+
 #[derive(Clone, Copy, Debug)]
 struct Node {
     /// Variable id (*not* level); `u32::MAX` for the terminal.
@@ -597,6 +601,18 @@ impl Bdd {
         )
     }
 
+    /// Shannon expansion of `f` at its top node: the labelling signal and
+    /// the parity-adjusted `(lo, hi)` cofactors, or `None` for a terminal.
+    /// A pure table read — unlike [`Bdd::cofactor_by`] it never registers
+    /// a variable.
+    pub fn expand(&self, f: BddRef) -> Option<(Signal, BddRef, BddRef)> {
+        if f.is_terminal() {
+            return None;
+        }
+        let (lo, hi) = self.children(f);
+        Some((self.vars[self.node(f).var as usize], lo, hi))
+    }
+
     /// The signal labelling `f`'s top node, or `None` for a terminal.
     pub fn top_var(&self, f: BddRef) -> Option<Signal> {
         if f.is_terminal() {
@@ -853,8 +869,21 @@ impl Bdd {
     /// Probability that `f` is 1 given independent per-signal
     /// probabilities. Cached on regular edges; `P(¬f) = 1 − P(f)`.
     pub fn probability(&self, f: BddRef, prob: &impl Fn(Signal) -> f64) -> f64 {
-        let mut cache = HashMap::new();
-        self.prob_rec(f, prob, &mut cache)
+        self.probability_memo(f, prob, &mut ProbabilityMemo::default())
+    }
+
+    /// [`Bdd::probability`] reading and filling a caller-held memo, so
+    /// many queries under the **same** `prob` share every sub-result.
+    /// The memo is keyed by node index: it stays valid while the manager
+    /// only grows, and must be dropped on a reorder (which may recycle
+    /// indices) or a change of `prob`.
+    pub fn probability_memo(
+        &self,
+        f: BddRef,
+        prob: &impl Fn(Signal) -> f64,
+        memo: &mut ProbabilityMemo,
+    ) -> f64 {
+        self.prob_rec(f, prob, &mut memo.0)
     }
 
     fn prob_rec(

@@ -2,7 +2,7 @@
 //! agreement with the old `boolex::bdd` prototype, sifting invariants,
 //! parallel-apply determinism, and complement-edge canonicity.
 
-use oiso_bdd::{Bdd, BddOp, BddRef, NodeBudget, ReorderPolicy};
+use oiso_bdd::{Bdd, BddOp, BddRef, NodeBudget, ProbabilityMemo, ReorderPolicy};
 use oiso_boolex::{BoolExpr, Signal};
 use oiso_netlist::NetId;
 use rand::rngs::StdRng;
@@ -91,6 +91,38 @@ fn agrees_with_old_boolex_engine() {
             "probability diverges on case {case}: {po} vs {pn}"
         );
     }
+}
+
+#[test]
+fn expand_and_shared_probability_memo_agree_with_fresh_walks() {
+    let mut rng = StdRng::seed_from_u64(0xE7A);
+    let mut bdd = Bdd::new();
+    let roots: Vec<BddRef> = (0..40)
+        .map(|_| {
+            let e = random_expr(&mut rng, 8, 3);
+            bdd.from_expr(&e)
+        })
+        .collect();
+    let vars_before = bdd.var_count();
+    let p = |s: Signal| 0.1 + 0.1 * (s.net.index() % 8) as f64;
+    let mut memo = ProbabilityMemo::default();
+    for &f in &roots {
+        // One memo across every root gives each root's fresh-walk value.
+        let shared = bdd.probability_memo(f, &p, &mut memo);
+        assert_eq!(shared.to_bits(), bdd.probability(f, &p).to_bits());
+        match bdd.expand(f) {
+            None => assert!(f.is_terminal()),
+            Some((top, lo, hi)) => {
+                assert_eq!(bdd.top_var(f), Some(top));
+                assert_eq!((lo, hi), bdd.children(f));
+                // Shannon: Pr(f) = p·Pr(hi) + (1 − p)·Pr(lo).
+                let pt = p(top);
+                let split = pt * bdd.probability(hi, &p) + (1.0 - pt) * bdd.probability(lo, &p);
+                assert!((split - shared).abs() < 1e-12);
+            }
+        }
+    }
+    assert_eq!(bdd.var_count(), vars_before, "expand never registers variables");
 }
 
 #[test]

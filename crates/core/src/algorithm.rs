@@ -146,7 +146,10 @@ pub struct IsolationConfig {
     /// promising candidates first. Ranking only *reorders* the list;
     /// per-block winner selection breaks ties on cell identity, so with a
     /// non-binding cap the accepted sequence is bit-identical to an
-    /// unranked run at every thread count. Off by default.
+    /// unranked run at every thread count. For the same reason ranking is
+    /// a no-op — the analysis is not even run — in any iteration where the
+    /// cap cannot bind: `candidate_cap` is `None`, or no smaller than the
+    /// candidate count. Off by default.
     pub activity_ranking: bool,
     /// Upper bound on candidates scored per iteration, applied after the
     /// precheck (and after activity ranking when enabled). `None` scores
@@ -543,9 +546,16 @@ pub fn optimize_with_memo(
         // Activity pre-ranking: order candidates by the static savings
         // estimate so a binding cap below keeps the most promising ones.
         // The ranking is a pure serial function of the work netlist and
-        // the stimulus plan — thread-count invariant by construction.
-        if config.activity_ranking && !candidates.is_empty() {
-            let activity = oiso_activity::analyze_activity_with_plan(
+        // the stimulus plan — thread-count invariant by construction. A cap
+        // that cannot bind keeps every candidate, and winners break ties on
+        // cell identity, so the order is moot and the analysis is skipped.
+        // The model derives only the nets the ranks read: operands and
+        // activation supports.
+        let cap_binds = config
+            .candidate_cap
+            .is_some_and(|cap| candidates.len() > cap);
+        if config.activity_ranking && cap_binds {
+            let mut activity = oiso_activity::ActivityModel::new(
                 &work,
                 plan,
                 &oiso_activity::ActivityOptions::default(),
@@ -559,8 +569,8 @@ pub fn optimize_with_memo(
                     let budget = shared.clone().unwrap_or_else(|| {
                         oiso_bdd::NodeBudget::new(crate::precheck::DEFAULT_PRECHECK_NODE_BUDGET)
                     });
-                    let rank = crate::precheck::activity_rank_with_budget(
-                        &activity,
+                    let rank = crate::precheck::activity_rank_by(
+                        &mut activity,
                         &work,
                         cand.cell,
                         &cand.activation,

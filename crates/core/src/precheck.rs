@@ -20,7 +20,7 @@
 //! activation expression, so enabling it never perturbs thread-count
 //! determinism. `oiso-lint` reuses the same verdicts for its diagnostics.
 
-use oiso_activity::ActivityReport;
+use oiso_activity::{ActivityLookup, ActivityReport};
 use oiso_bdd::{Bdd, BddRef, NodeBudget};
 use oiso_boolex::BoolExpr;
 use oiso_netlist::{transitive_fanout, CellId, Netlist};
@@ -201,12 +201,27 @@ pub fn activity_rank_with_budget(
     activation: &BoolExpr,
     budget: &NodeBudget,
 ) -> f64 {
+    let mut report = report;
+    activity_rank_by(&mut report, netlist, cell, activation, budget)
+}
+
+/// The rank formula of [`activity_rank`] over any [`ActivityLookup`]:
+/// a full report, or an [`oiso_activity::ActivityModel`] that derives
+/// only the operand and activation-support nets asked for here. Both give
+/// the same rank bit for bit.
+pub fn activity_rank_by(
+    activity: &mut impl ActivityLookup,
+    netlist: &Netlist,
+    cell: CellId,
+    activation: &BoolExpr,
+    budget: &NodeBudget,
+) -> f64 {
     let operand_density: f64 = netlist
         .cell(cell)
         .data_inputs()
-        .map(|n| report.density(n))
+        .map(|n| activity.density(n))
         .sum();
-    let p_active = report.expr_activity_budgeted(activation, budget).p;
+    let p_active = activity.expr_activity_budgeted(activation, budget).p;
     operand_density * (1.0 - p_active).clamp(0.0, 1.0)
 }
 

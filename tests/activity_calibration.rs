@@ -136,10 +136,31 @@ fn ranking_is_simulation_free_and_thread_invariant_when_not_binding() {
             "{name}: activity ranking changed the simulation count"
         );
 
-        // With no candidate cap the budget is not binding, so ranking may
-        // only reorder evaluation — never change what gets accepted.
+        // With no candidate cap the budget cannot bind, so ranking could
+        // only reorder evaluation — it never changes what gets accepted.
         let base = signature(&unranked);
         assert_eq!(base, signature(&ranked), "{name}: ranking changed the outcome");
+
+        // Neither can a cap no smaller than the candidate count: the
+        // outcome and the simulation count stay those of the unranked run.
+        let k = design.netlist.arithmetic_cells().count();
+        let memo_k = SimMemo::new();
+        let capped = optimize_with_memo(
+            &design.netlist,
+            &design.stimuli,
+            &quick_config()
+                .with_activity_ranking(true)
+                .with_candidate_cap(Some(k))
+                .with_threads(1),
+            &memo_k,
+        )
+        .expect("ranked run under a non-binding cap");
+        assert_eq!(memo_k.stats().misses, memo_off.stats().misses, "{name}: cap {k}");
+        assert_eq!(
+            base,
+            signature(&capped),
+            "{name}: a non-binding cap {k} changed the outcome"
+        );
 
         // And the ranked path stays bit-identical across worker counts.
         for threads in [2, 4] {
