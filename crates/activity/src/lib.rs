@@ -5,7 +5,7 @@
 //! buys with simulation. This crate derives it statically:
 //!
 //! * **Signal probabilities** `Pr(bit = 1)` per net bit, exact under a
-//!   per-source independence model, computed on BDDs (`oiso-bdd`) with
+//!   per-source independence model, computed on BDDs (`oiso_boolex::Bdd`) with
 //!   reconvergent fanout handled exactly. Sources are primary inputs,
 //!   register outputs, and latch outputs; their statistics come from the
 //!   stimulus plan (via `oiso_sim::analytic::spec_stats`) and the algebraic
@@ -38,8 +38,7 @@ mod pair;
 
 pub use pair::ExprActivity;
 
-use oiso_bdd::{NodeBudget, ProbabilityMemo};
-use oiso_boolex::{BoolExpr, Signal};
+use oiso_boolex::{BoolExpr, NodeBudget, ProbabilityMemo, Signal};
 use oiso_netlist::{CellId, CellKind, NetId, Netlist};
 use oiso_sim::analytic::{propagate, spec_stats, ActivityEstimate, BitStats};
 use oiso_sim::{StimulusPlan, StimulusSpec};

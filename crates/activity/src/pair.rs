@@ -18,8 +18,7 @@
 //! correlation (lag-one) are both handled exactly; only correlation
 //! *between* distinct source bits is assumed away.
 
-use oiso_bdd::{Bdd, BddRef, NodeBudget, ProbabilityMemo};
-use oiso_boolex::{BoolExpr, Signal};
+use oiso_boolex::{Bdd, BddRef, BoolExpr, NodeBudget, ProbabilityMemo, Signal};
 use oiso_netlist::{Cell, CellKind, Netlist};
 use std::collections::HashMap;
 

@@ -220,7 +220,7 @@ fn main() -> ExitCode {
                 Json::str(
                     "verify_isolation_plan over every arithmetic candidate of each bundled \
                      design (activations from derive_activation_functions, AND style); \
-                     symbolic check via oiso-bdd with dynamic reordering enabled at \
+                     symbolic check on oiso_boolex::Bdd with dynamic reordering enabled at \
                      REORDER_THRESHOLD allocated nodes; proved = exhaustive BDD proof, \
                      sampled = budget fallback to differential vectors; the check gate \
                      requires proved/(proved+sampled+violations) >= proved_gate and zero \

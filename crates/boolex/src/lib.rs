@@ -10,10 +10,14 @@
 //!   cost of the activation logic can be approximated by the literal count
 //!   of the activation function, which by construction is given in factored
 //!   form"),
-//! * [`Bdd`]: a small ROBDD engine used for equivalence checking and
-//!   analytic probability evaluation under bit-independence assumptions,
+//! * [`Bdd`]: the pipeline's one ROBDD engine (complement edges, sifting
+//!   reorder, shared [`NodeBudget`], deterministic parallel apply), used
+//!   by the minimizer here and by equivalence checking, the static
+//!   precheck, and static activity downstream,
+//! * [`minimize`]: the Minato–Morreale ISOP minimizer, run on that engine,
 //! * [`synth`]: synthesis of an expression into 1-bit netlist gates — the
-//!   *activation logic* inserted by the isolation transform.
+//!   *activation logic* inserted by the isolation transform — either as
+//!   the factored form or as the mux tree of its ROBDD.
 //!
 //! # Examples
 //!
@@ -44,7 +48,7 @@ pub mod expr;
 pub mod simplify;
 pub mod synth;
 
-pub use bdd::{Bdd, BddRef};
+pub use bdd::{Bdd, BddOp, BddRef, NodeBudget, ProbabilityMemo, ReorderPolicy};
 pub use expr::{BoolExpr, Signal};
 pub use simplify::minimize;
-pub use synth::{synthesize_into, synthesize_into_cached};
+pub use synth::{synthesize_bdd_into, synthesize_into, synthesize_into_cached};

@@ -1,11 +1,15 @@
 //! Synthesis of activation functions into netlist gates.
 //!
 //! The isolation transform implements each activation function as *activation
-//! logic*: a tree of 1-bit AND/OR/NOT cells inserted into the design
+//! logic*: a tree of 1-bit cells inserted into the design
 //! (Section 3: "this function is implemented by the activation logic which
 //! is either a direct implementation or an optimized version thereof").
-//! Structurally identical subexpressions are shared.
+//! [`synthesize_into`] emits the factored form as AND/OR/NOT gates,
+//! sharing structurally identical subexpressions;
+//! [`synthesize_bdd_into`] emits the function's canonical ROBDD as a mux
+//! tree. Both name and insert their cells through one emitter.
 
+use crate::bdd::{Bdd, BddRef};
 use crate::expr::{BoolExpr, Signal};
 use oiso_netlist::{BuildError, CellKind, NetId, Netlist};
 use std::collections::HashMap;
@@ -79,52 +83,100 @@ pub fn synthesize_into_cached(
     cache: &mut HashMap<BoolExpr, NetId>,
 ) -> Result<NetId, BuildError> {
     let mut ctx = Synth {
-        netlist,
-        prefix,
+        out: Emitter { netlist, prefix },
         memo: cache,
     };
     ctx.emit(expr)
 }
 
-struct Synth<'a> {
+/// Synthesizes the ROBDD of `expr` into `netlist` as a mux tree,
+/// returning the net carrying the expression's value.
+///
+/// Following Popel's observation that the BDD of a minimized activation
+/// function is itself a low-switching implementation, every BDD node
+/// becomes one 1-bit `Mux` cell (select = the node's variable, data = the
+/// lo/hi child functions) and every distinct complemented edge one `Not`
+/// cell. Because the ROBDD is canonical, the circuit is the same however
+/// the factored expression was written, and shared BDD subgraphs become
+/// shared gates. New nets and cells are named with `prefix`; `cache`
+/// shares results across calls exactly like [`synthesize_into_cached`].
+///
+/// # Errors
+///
+/// As [`synthesize_into`].
+pub fn synthesize_bdd_into(
+    netlist: &mut Netlist,
+    expr: &BoolExpr,
+    prefix: &str,
+    cache: &mut HashMap<BoolExpr, NetId>,
+) -> Result<NetId, BuildError> {
+    if let Some(&net) = cache.get(expr) {
+        return Ok(net);
+    }
+    let mut bdd = Bdd::new();
+    let f = bdd.from_expr(expr);
+    let mut ctx = BddSynth {
+        out: Emitter { netlist, prefix },
+        node_nets: HashMap::new(),
+        not_nets: HashMap::new(),
+        var_nets: HashMap::new(),
+        const_nets: [None, None],
+    };
+    let net = ctx.emit(&bdd, f)?;
+    cache.insert(expr.clone(), net);
+    Ok(net)
+}
+
+/// Names and inserts the 1-bit nets and cells of one synthesis call.
+struct Emitter<'a> {
     netlist: &'a mut Netlist,
     prefix: &'a str,
+}
+
+impl Emitter<'_> {
+    /// A fresh 1-bit wire driven by a new `kind` cell over `inputs`.
+    fn gate(&mut self, kind: CellKind, inputs: &[NetId]) -> Result<NetId, BuildError> {
+        let name = self.netlist.fresh_net_name(self.prefix);
+        let w = self.netlist.add_wire(name, 1)?;
+        let name = self.netlist.fresh_cell_name(self.prefix);
+        self.netlist.add_cell(name, kind, inputs, w)?;
+        Ok(w)
+    }
+
+    /// The net carrying `sig`: the net itself when it is 1 bit wide,
+    /// otherwise a new `Slice` of the addressed bit.
+    fn bit(&mut self, sig: Signal) -> Result<NetId, BuildError> {
+        if self.netlist.net(sig.net).width() == 1 {
+            debug_assert_eq!(sig.bit, 0, "bit index on 1-bit net");
+            return Ok(sig.net);
+        }
+        self.gate(
+            CellKind::Slice {
+                lo: sig.bit,
+                hi: sig.bit,
+            },
+            &[sig.net],
+        )
+    }
+}
+
+/// Direct synthesis of the factored form.
+struct Synth<'a> {
+    out: Emitter<'a>,
     memo: &'a mut HashMap<BoolExpr, NetId>,
 }
 
 impl Synth<'_> {
-    fn fresh_wire(&mut self) -> Result<NetId, BuildError> {
-        let name = self.netlist.fresh_net_name(self.prefix);
-        self.netlist.add_wire(name, 1)
-    }
-
-    fn fresh_cell(
-        &mut self,
-        kind: CellKind,
-        inputs: &[NetId],
-        out: NetId,
-    ) -> Result<(), BuildError> {
-        let name = self.netlist.fresh_cell_name(self.prefix);
-        self.netlist.add_cell(name, kind, inputs, out)?;
-        Ok(())
-    }
-
     fn emit(&mut self, expr: &BoolExpr) -> Result<NetId, BuildError> {
         if let Some(&net) = self.memo.get(expr) {
             return Ok(net);
         }
         let net = match expr {
-            BoolExpr::Const(b) => {
-                let w = self.fresh_wire()?;
-                self.fresh_cell(CellKind::Const { value: *b as u64 }, &[], w)?;
-                w
-            }
-            BoolExpr::Var(sig) => self.emit_var(*sig)?,
+            BoolExpr::Const(b) => self.out.gate(CellKind::Const { value: *b as u64 }, &[])?,
+            BoolExpr::Var(sig) => self.out.bit(*sig)?,
             BoolExpr::Not(inner) => {
                 let x = self.emit(inner)?;
-                let w = self.fresh_wire()?;
-                self.fresh_cell(CellKind::Not, &[x], w)?;
-                w
+                self.out.gate(CellKind::Not, &[x])?
             }
             BoolExpr::And(es) => self.emit_nary(CellKind::And, es)?,
             BoolExpr::Or(es) => self.emit_nary(CellKind::Or, es)?,
@@ -133,43 +185,72 @@ impl Synth<'_> {
         Ok(net)
     }
 
-    fn emit_var(&mut self, sig: Signal) -> Result<NetId, BuildError> {
-        let width = self.netlist.net(sig.net).width();
-        if width == 1 {
-            debug_assert_eq!(sig.bit, 0, "bit index on 1-bit net");
-            return Ok(sig.net);
-        }
-        let w = self.fresh_wire()?;
-        self.fresh_cell(
-            CellKind::Slice {
-                lo: sig.bit,
-                hi: sig.bit,
-            },
-            &[sig.net],
-            w,
-        )?;
-        Ok(w)
-    }
-
     fn emit_nary(&mut self, kind: CellKind, es: &[BoolExpr]) -> Result<NetId, BuildError> {
         debug_assert!(es.len() >= 2, "normalized n-ary node has >= 2 children");
         let inputs: Vec<NetId> = es.iter().map(|e| self.emit(e)).collect::<Result<_, _>>()?;
-        let w = self.fresh_wire()?;
-        self.fresh_cell(kind, &inputs, w)?;
-        Ok(w)
+        self.out.gate(kind, &inputs)
     }
 }
 
-/// Counts the gates a direct implementation of `expr` would need: one n-ary
-/// gate per `And`/`Or` node and one inverter per `Not`. Used by the cost
-/// model as the gate-count companion to the literal-count area proxy.
-pub fn gate_count(expr: &BoolExpr) -> usize {
-    match expr {
-        BoolExpr::Const(_) | BoolExpr::Var(_) => 0,
-        BoolExpr::Not(e) => 1 + gate_count(e),
-        BoolExpr::And(es) | BoolExpr::Or(es) => {
-            1 + es.iter().map(gate_count).sum::<usize>()
+/// Mux-tree synthesis of a canonical ROBDD.
+struct BddSynth<'a> {
+    out: Emitter<'a>,
+    /// Regular node edge (raw ref) → net carrying that node's function.
+    node_nets: HashMap<u32, NetId>,
+    /// Complemented edge (raw ref) → net carrying the inverted function.
+    not_nets: HashMap<u32, NetId>,
+    var_nets: HashMap<Signal, NetId>,
+    const_nets: [Option<NetId>; 2],
+}
+
+impl BddSynth<'_> {
+    fn const_net(&mut self, value: bool) -> Result<NetId, BuildError> {
+        if let Some(net) = self.const_nets[value as usize] {
+            return Ok(net);
         }
+        let w = self.out.gate(CellKind::Const { value: value as u64 }, &[])?;
+        self.const_nets[value as usize] = Some(w);
+        Ok(w)
+    }
+
+    fn var_net(&mut self, sig: Signal) -> Result<NetId, BuildError> {
+        if let Some(&net) = self.var_nets.get(&sig) {
+            return Ok(net);
+        }
+        let net = self.out.bit(sig)?;
+        self.var_nets.insert(sig, net);
+        Ok(net)
+    }
+
+    /// Net carrying the function of edge `r` (inserting a `Not` for a
+    /// complemented edge, shared per distinct edge).
+    fn emit(&mut self, bdd: &Bdd, r: BddRef) -> Result<NetId, BuildError> {
+        if r == BddRef::TRUE {
+            return self.const_net(true);
+        }
+        if r == BddRef::FALSE {
+            return self.const_net(false);
+        }
+        if r.is_complemented() {
+            if let Some(&net) = self.not_nets.get(&r.raw()) {
+                return Ok(net);
+            }
+            let pos = self.emit(bdd, r.regular())?;
+            let w = self.out.gate(CellKind::Not, &[pos])?;
+            self.not_nets.insert(r.raw(), w);
+            return Ok(w);
+        }
+        if let Some(&net) = self.node_nets.get(&r.raw()) {
+            return Ok(net);
+        }
+        let sig = bdd.top_var(r).expect("non-terminal node has a variable");
+        let (lo, hi) = bdd.children(r);
+        let lo_net = self.emit(bdd, lo)?;
+        let hi_net = self.emit(bdd, hi)?;
+        let sel = self.var_net(sig)?;
+        let w = self.out.gate(CellKind::Mux, &[sel, lo_net, hi_net])?;
+        self.node_nets.insert(r.raw(), w);
+        Ok(w)
     }
 }
 
@@ -286,17 +367,5 @@ mod tests {
         n.mark_output(out);
         n.validate().unwrap();
         assert_eq!(n.constant_value(out), Some(1));
-    }
-
-    #[test]
-    fn gate_count_estimates() {
-        let (_, s0, s1, _) = base();
-        let x = BoolExpr::var(Signal::bit0(s0));
-        let y = BoolExpr::var(Signal::bit0(s1));
-        assert_eq!(gate_count(&x), 0);
-        assert_eq!(gate_count(&x.clone().not()), 1);
-        let e = BoolExpr::or2(BoolExpr::and2(x.clone(), y.clone()), x.not());
-        // OR + AND + NOT = 3.
-        assert_eq!(gate_count(&e), 3);
     }
 }

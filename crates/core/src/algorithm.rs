@@ -518,10 +518,10 @@ pub fn optimize_with_memo(
             // across every precheck of the run; the bundled default stays
             // per-candidate so one pathological cone cannot starve the
             // rest.
-            let shared = config.budget.bdd_node_ceiling.map(oiso_bdd::NodeBudget::new);
+            let shared = config.budget.bdd_node_ceiling.map(oiso_boolex::NodeBudget::new);
             candidates.retain(|cand| {
                 let budget = shared.clone().unwrap_or_else(|| {
-                    oiso_bdd::NodeBudget::new(crate::precheck::DEFAULT_PRECHECK_NODE_BUDGET)
+                    oiso_boolex::NodeBudget::new(crate::precheck::DEFAULT_PRECHECK_NODE_BUDGET)
                 });
                 match crate::precheck::precheck_candidate_with_budget(
                     &work,
@@ -562,12 +562,12 @@ pub fn optimize_with_memo(
             );
             // Same budget policy as the precheck above: an explicit run
             // ceiling is shared across the whole ranked list.
-            let shared = config.budget.bdd_node_ceiling.map(oiso_bdd::NodeBudget::new);
+            let shared = config.budget.bdd_node_ceiling.map(oiso_boolex::NodeBudget::new);
             let mut ranked: Vec<(f64, Candidate)> = candidates
                 .drain(..)
                 .map(|cand| {
                     let budget = shared.clone().unwrap_or_else(|| {
-                        oiso_bdd::NodeBudget::new(crate::precheck::DEFAULT_PRECHECK_NODE_BUDGET)
+                        oiso_boolex::NodeBudget::new(crate::precheck::DEFAULT_PRECHECK_NODE_BUDGET)
                     });
                     let rank = crate::precheck::activity_rank_by(
                         &mut activity,

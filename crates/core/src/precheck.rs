@@ -21,8 +21,7 @@
 //! determinism. `oiso-lint` reuses the same verdicts for its diagnostics.
 
 use oiso_activity::{ActivityLookup, ActivityReport};
-use oiso_bdd::{Bdd, BddRef, NodeBudget};
-use oiso_boolex::BoolExpr;
+use oiso_boolex::{Bdd, BddRef, BoolExpr, NodeBudget};
 use oiso_netlist::{transitive_fanout, CellId, Netlist};
 use std::collections::HashSet;
 

@@ -13,7 +13,7 @@
 //!   receives `!AS`).
 //! * **BDD-synthesized** ([`IsolationStyle::BddSynth`]): AND-gate banks,
 //!   but the activation signal is emitted as the canonical ROBDD of `f_c`
-//!   rendered as a mux tree ([`oiso_bdd::synthesize_bdd_into`], after
+//!   rendered as a mux tree ([`oiso_boolex::synthesize_bdd_into`], after
 //!   Popel) — the minimized implementation regardless of how the factored
 //!   expression was written, with shared BDD subgraphs becoming shared
 //!   gates.
@@ -158,7 +158,7 @@ pub fn isolate_with_cache(
     // identical, and sharing is the point of the cache.
     let as_net = match style {
         IsolationStyle::BddSynth => {
-            oiso_bdd::synthesize_bdd_into(netlist, activation, &format!("{prefix}_act"), cache)?
+            oiso_boolex::synthesize_bdd_into(netlist, activation, &format!("{prefix}_act"), cache)?
         }
         _ => synthesize_into_cached(netlist, activation, &format!("{prefix}_act"), cache)?,
     };

@@ -7,7 +7,7 @@
 //! [`VectorAssignment`] for concrete replay on either netlist.
 
 use crate::symb::{VarKind, VarTable};
-use oiso_bdd::{Bdd, BddRef};
+use oiso_boolex::{Bdd, BddRef};
 use oiso_sim::replay::VectorAssignment;
 use std::collections::BTreeMap;
 use std::fmt;

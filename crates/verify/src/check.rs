@@ -36,8 +36,7 @@
 
 use crate::cex::{extract, Counterexample};
 use crate::symb::{build_symbolic_bounded, build_symbolic_with_cuts, SymbolicNetlist, VarTable};
-use oiso_bdd::{Bdd, BddOp, BddRef, NodeBudget, ReorderPolicy};
-use oiso_boolex::BoolExpr;
+use oiso_boolex::{Bdd, BddOp, BddRef, BoolExpr, NodeBudget, ReorderPolicy};
 use oiso_netlist::{Cell, CellKind, Netlist};
 use std::time::Instant;
 

@@ -17,8 +17,7 @@
 //! between the symbolic and the concrete interpreter would make the
 //! differential replay backend disagree with the BDD verdict.
 
-use oiso_bdd::{Bdd, BddRef};
-use oiso_boolex::Signal;
+use oiso_boolex::{Bdd, BddRef, Signal};
 use oiso_netlist::{comb_topo_order, CellKind, NetId, Netlist};
 use std::collections::HashMap;
 use std::time::Instant;
