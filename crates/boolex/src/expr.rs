@@ -169,6 +169,20 @@ impl BoolExpr {
         }
     }
 
+    /// Evaluates the expression on 64 assignments at once: `assignment`
+    /// returns one bit-plane per signal (bit `t` is the signal's value in
+    /// assignment `t`), and bit `t` of the result is
+    /// [`BoolExpr::eval`] under assignment `t`.
+    pub fn eval_word(&self, assignment: &impl Fn(Signal) -> u64) -> u64 {
+        match self {
+            BoolExpr::Const(b) => 0u64.wrapping_sub(*b as u64),
+            BoolExpr::Var(s) => assignment(*s),
+            BoolExpr::Not(e) => !e.eval_word(assignment),
+            BoolExpr::And(es) => es.iter().fold(!0, |acc, e| acc & e.eval_word(assignment)),
+            BoolExpr::Or(es) => es.iter().fold(0, |acc, e| acc | e.eval_word(assignment)),
+        }
+    }
+
     /// The number of literal occurrences — the paper's activation-logic
     /// area proxy (Section 5.1).
     pub fn literal_count(&self) -> usize {
@@ -385,6 +399,34 @@ mod tests {
             let x1 = assign(Signal::bit0(NetId::from_index(1)));
             let x2 = assign(Signal::bit0(NetId::from_index(2)));
             assert_eq!(e.eval(&assign), (x0 && !x1) || x2);
+        }
+    }
+
+    #[test]
+    fn eval_word_matches_64_scalar_evals() {
+        let e = BoolExpr::or(vec![
+            BoolExpr::and(vec![v(0), v(1).not(), v(3)]),
+            BoolExpr::and2(v(2), BoolExpr::or2(v(0).not(), v(4))).not(),
+            BoolExpr::and2(v(4), v(1)),
+        ]);
+        let exprs = [e, BoolExpr::TRUE, BoolExpr::FALSE, v(3), v(2).not()];
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..50 {
+            let planes: Vec<u64> = (0..5)
+                .map(|_| {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    s
+                })
+                .collect();
+            for e in &exprs {
+                let word = e.eval_word(&|sig: Signal| planes[sig.net.index()]);
+                for t in 0..64 {
+                    let scalar = e.eval(&|sig: Signal| (planes[sig.net.index()] >> t) & 1 == 1);
+                    assert_eq!((word >> t) & 1 == 1, scalar, "{e} at {t}");
+                }
+            }
         }
     }
 

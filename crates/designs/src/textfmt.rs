@@ -233,6 +233,9 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
                 let name = rest
                     .first()
                     .ok_or_else(|| syntax(line_no, "drive needs an input name"))?;
+                if drivers.iter().any(|(driven, _)| driven == name) {
+                    return Err(syntax(line_no, format!("duplicate `drive` for `{name}`")));
+                }
                 let spec = match rest.get(1).copied() {
                     Some("uniform") => StimulusSpec::UniformRandom,
                     Some("const") => StimulusSpec::Constant(parse_u64(
@@ -348,7 +351,13 @@ pub fn emit(design: &Design) -> String {
     for &po in n.primary_outputs() {
         let _ = writeln!(out, "output {}", n.net(po).name());
     }
-    for (name, spec) in &design.stimuli.drivers {
+    let drivers = &design.stimuli.drivers;
+    for (i, (name, spec)) in drivers.iter().enumerate() {
+        // The parser takes one `drive` per input: emit only the last
+        // registration, the one simulation uses.
+        if drivers[i + 1..].iter().any(|(later, _)| later == name) {
+            continue;
+        }
         let spec_text = match spec {
             StimulusSpec::UniformRandom => "uniform".to_string(),
             StimulusSpec::Constant(v) => format!("const {v}"),
@@ -484,6 +493,21 @@ seed   42
         }
         // The boundary values stay legal.
         parse("design d\ninput g 1\noutput g\ndrive g markov 0 1\n").unwrap();
+    }
+
+    #[test]
+    fn a_second_drive_for_the_same_input_is_a_syntax_error() {
+        let text = "design d\ninput g 1\noutput g\ndrive g const 0\ndrive g const 1\n";
+        let msg = parse(text).unwrap_err().to_string();
+        assert!(msg.starts_with("line 5"), "{msg}");
+        assert!(msg.contains("duplicate `drive` for `g`"), "{msg}");
+
+        // A plan that drives an input twice emits only the driver in force.
+        let mut d = parse(CMAC).unwrap();
+        d.stimuli = d.stimuli.drive("go", StimulusSpec::Constant(1));
+        let re = parse(&emit(&d)).unwrap();
+        assert_eq!(re.stimuli.spec_for("go"), Some(&StimulusSpec::Constant(1)));
+        assert_eq!(re.stimuli.drivers.len(), 3);
     }
 
     #[test]

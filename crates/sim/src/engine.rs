@@ -33,14 +33,17 @@ pub enum EngineKind {
     Scalar,
     /// Bit-parallel engine: packs up to 64 independent stimulus lanes into
     /// each `u64` word and evaluates logic cells bitwise across all lanes
-    /// at once (see [`crate::packed`]). Fastest for batch workloads
-    /// ([`simulate_batch`](crate::simulate_batch)); a single-plan run uses
-    /// one lane and is slower than the other engines.
+    /// at once (see [`crate::packed`]). Meant for batch workloads
+    /// ([`simulate_batch`](crate::simulate_batch)), where it is fastest on
+    /// the sweep in `BENCH_sim.json`; a single-plan run uses one lane and
+    /// is slower than the other engines.
     Packed,
     /// Compiled mode: levelizes the netlist once into a flat straight-line
     /// op tape (pre-resolved indices into the dense value arena) and
     /// replays the tape each cycle instead of re-walking the graph (see
-    /// [`crate::tape`]). Fastest single-plan engine, hence the default.
+    /// [`crate::tape`]). Its tape is the fastest single-plan *evaluation*,
+    /// hence the default; statistics counting and monitors are the same
+    /// shared testbench loop on every engine.
     #[default]
     Compiled,
 }
@@ -94,8 +97,10 @@ impl std::str::FromStr for EngineKind {
 /// per-cycle input application, combinational settling, the clock edge,
 /// and the settled value arena.
 pub(crate) trait SimBackend {
-    /// Sets a primary input for the current cycle (masked to net width).
-    fn set_input(&mut self, net: NetId, value: u64);
+    /// Sets the primary input with net index `index` for the current
+    /// cycle. Unchecked: the caller has verified that the net is a primary
+    /// input and masked `value` to its width.
+    fn write_input(&mut self, index: usize, value: u64);
     /// Evaluates all combinational logic for the current cycle.
     fn settle(&mut self);
     /// Advances the clock (registers sample D).
@@ -105,8 +110,8 @@ pub(crate) trait SimBackend {
 }
 
 impl SimBackend for Simulator<'_> {
-    fn set_input(&mut self, net: NetId, value: u64) {
-        Simulator::set_input(self, net, value);
+    fn write_input(&mut self, index: usize, value: u64) {
+        self.values[index] = value;
     }
 
     fn settle(&mut self) {

@@ -30,30 +30,19 @@
 //! # Exact toggle counting
 //!
 //! [`simulate_batch`] accumulates per-lane toggle and ones counts exactly
-//! using the popcount identity `toggles = popcount(state[t] ^ state[t+1])`,
-//! implemented with *vertical counters* (bit-sliced carry-save counters, as
-//! in the bit-transition-counter literature): every (net, bit) word gets a
-//! ones counter and a toggle counter, stored level-major so one counter
-//! level is one branchless stride-1 pass over all words, and the counters
-//! are flushed into per-lane `u64` accumulators every [`FLUSH_INTERVAL`]
-//! cycles — well before the `2^VC_DEPTH − 1` overflow bound (one addition
-//! per counter per cycle).
-//! The result is *bit-identical* to running the scalar engine once per
-//! lane, which the differential suite (`tests/sim_engine_equivalence.rs`)
-//! and the property tests (`crates/sim/tests/prop_packed.rs`) verify.
+//! with the shared Harley–Seal vertical-counter kernel in
+//! [`crate::stats`], fed one word per (net, bit) so that each counter lane
+//! is one stimulus plan. The result is *bit-identical* to running the
+//! scalar engine once per lane, which the differential suite
+//! (`tests/sim_engine_equivalence.rs`) and the property tests
+//! (`crates/sim/tests/prop_packed.rs`) verify.
 
 use crate::engine::{EngineKind, SimBackend};
 use crate::eval::eval_comb_cell;
-use crate::stats::{vc_flush, SimReport, VC_DEPTH};
+use crate::stats::{BatchCounters, SimReport, FLUSH_INTERVAL};
 use crate::stimulus::{Stimulus, StimulusPlan};
 use crate::testbench::{instantiate_drivers, SimError, Testbench};
 use oiso_netlist::{comb_topo_order, CellId, CellKind, NetId, Netlist};
-
-/// Cycles between vertical-counter flushes. Each per-word counter gets at
-/// most one addition per cycle, so counts stay below
-/// `FLUSH_INTERVAL = 1000 < 2^16 − 1` with a wide safety margin (kept low
-/// so routine tests cross the flush boundary).
-const FLUSH_INTERVAL: u64 = 1000;
 
 /// Maximum number of lanes per packed block (one bit per lane in a `u64`).
 pub const MAX_LANES: usize = 64;
@@ -579,8 +568,12 @@ impl<'a> PackedLane<'a> {
 }
 
 impl SimBackend for PackedLane<'_> {
-    fn set_input(&mut self, net: NetId, value: u64) {
-        self.sim.set_input(net, 0, value);
+    fn write_input(&mut self, index: usize, value: u64) {
+        let off = self.sim.offsets[index] as usize;
+        let end = self.sim.offsets[index + 1] as usize;
+        for (b, word) in self.sim.words[off..end].iter_mut().enumerate() {
+            *word = (value >> b) & 1;
+        }
     }
 
     fn settle(&mut self) {
@@ -598,194 +591,6 @@ impl SimBackend for PackedLane<'_> {
             *slot = gather_word(&self.sim.words, off, w, 0);
         }
         &self.cache
-    }
-}
-
-/// Number of settled frames buffered between counter compressions.
-const FRAME_BATCH: usize = 16;
-
-/// One carry-save adder step: returns `(sum, carry)` of three bit vectors.
-#[inline(always)]
-fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
-    let u = a ^ b;
-    (u ^ c, (a & b) | (c & u))
-}
-
-/// Per-lane exact toggle/ones accumulation via vertical counters.
-///
-/// Settled frames are buffered [`FRAME_BATCH`] at a time; a Harley–Seal
-/// carry-save adder tree then compresses each word's 16 buffered values
-/// into a 5-level vertical number (counts 0..=16 per lane) in straight-line
-/// branchless code, which is added into a deep level-major counter bank.
-/// Amortized over the batch this is a few ops per word per cycle — far
-/// cheaper than maintaining the deep counters cycle by cycle, where every
-/// cycle pays its own carry propagation.
-struct BatchCounters {
-    n_lanes: usize,
-    total_bits: usize,
-    /// Frame ring: `hist[t * total_bits + w]` is word `w` of buffered
-    /// frame `t`. `filled` frames are pending compression.
-    hist: Vec<u64>,
-    filled: usize,
-    /// Last word values of the previously compressed batch — the frame
-    /// toggles of the next batch's first frame are counted against.
-    prev_last: Vec<u64>,
-    /// No frame precedes the very first one, so its toggle XOR is zero.
-    has_prev: bool,
-    /// Level-major vertical counters: `ones_vc[k][w]` is bit `k` of word
-    /// `w`'s per-lane ones count. `tog_vc` counts word toggles the same way.
-    ones_vc: Vec<Vec<u64>>,
-    tog_vc: Vec<Vec<u64>>,
-    /// `num_nets × n_lanes` flushed toggle totals (lane-major per net).
-    toggle_acc: Vec<u64>,
-    /// `total_bits × n_lanes` flushed ones totals (lane-major per word).
-    ones_acc: Vec<u64>,
-}
-
-/// Compresses `n` buffered frames (zero-padded to [`FRAME_BATCH`]) into a
-/// level-major counter bank. With `xor_prev` set, each frame is first
-/// XOR-ed against its predecessor (toggle counting); `prev.0` seeds the
-/// chain unless `prev.1` says there is no preceding frame.
-fn compress_frames(
-    bank: &mut [Vec<u64>],
-    hist: &[u64],
-    total_bits: usize,
-    n: usize,
-    xor_prev: Option<(&[u64], bool)>,
-) {
-    for w in 0..total_bits {
-        let mut d = [0u64; FRAME_BATCH];
-        match xor_prev {
-            Some((prev_last, has_prev)) => {
-                let mut p = prev_last[w];
-                for (t, slot) in d.iter_mut().take(n).enumerate() {
-                    let cur = hist[t * total_bits + w];
-                    *slot = cur ^ p;
-                    p = cur;
-                }
-                if !has_prev {
-                    d[0] = 0;
-                }
-            }
-            None => {
-                for (t, slot) in d.iter_mut().take(n).enumerate() {
-                    *slot = hist[t * total_bits + w];
-                }
-            }
-        }
-        // Harley–Seal: fold 16 inputs into ones/twos/fours/eights/sixteens.
-        let (mut ones, mut twos, mut fours, mut eights, mut sixteens) = (0u64, 0, 0, 0, 0);
-        let mut i = 0;
-        while i < FRAME_BATCH {
-            let (o1, t1) = csa(ones, d[i], d[i + 1]);
-            let (o2, t2) = csa(o1, d[i + 2], d[i + 3]);
-            let (tw1, f1) = csa(twos, t1, t2);
-            let (o3, t3) = csa(o2, d[i + 4], d[i + 5]);
-            let (o4, t4) = csa(o3, d[i + 6], d[i + 7]);
-            let (tw2, f2) = csa(tw1, t3, t4);
-            let (fo, e) = csa(fours, f1, f2);
-            let (ei, sx) = csa(eights, e, 0);
-            ones = o4;
-            twos = tw2;
-            fours = fo;
-            eights = ei;
-            sixteens |= sx;
-            i += 8;
-        }
-        // Add the 5-level number into the bank: branchless ripple through
-        // level 9 (counts stay < 2^10 between flushes), sparse tail above.
-        let num = [ones, twos, fours, eights, sixteens];
-        let mut c = 0u64;
-        for (k, slot) in bank.iter_mut().enumerate().take(10) {
-            let x = if k < num.len() { num[k] } else { 0 };
-            let s = slot[w];
-            let (lo, hi) = csa(s, x, c);
-            slot[w] = lo;
-            c = hi;
-        }
-        let mut k = 10;
-        while c != 0 {
-            debug_assert!(k < bank.len(), "vertical counter overflow");
-            let t = bank[k][w];
-            bank[k][w] = t ^ c;
-            c &= t;
-            k += 1;
-        }
-    }
-}
-
-impl BatchCounters {
-    fn new(total_bits: usize, n_lanes: usize, num_nets: usize) -> Self {
-        BatchCounters {
-            n_lanes,
-            total_bits,
-            hist: vec![0; FRAME_BATCH * total_bits],
-            filled: 0,
-            prev_last: vec![0; total_bits],
-            has_prev: false,
-            ones_vc: vec![vec![0; total_bits]; VC_DEPTH],
-            tog_vc: vec![vec![0; total_bits]; VC_DEPTH],
-            toggle_acc: vec![0; num_nets * n_lanes],
-            ones_acc: vec![0; total_bits * n_lanes],
-        }
-    }
-
-    /// Buffers one settled frame, compressing when the ring fills.
-    fn add_cycle(&mut self, words: &[u64]) {
-        let tb = self.total_bits;
-        self.hist[self.filled * tb..(self.filled + 1) * tb].copy_from_slice(words);
-        self.filled += 1;
-        if self.filled == FRAME_BATCH {
-            self.compress_pending();
-        }
-    }
-
-    /// Compresses any buffered frames into the vertical-counter banks.
-    fn compress_pending(&mut self) {
-        let n = self.filled;
-        if n == 0 {
-            return;
-        }
-        let tb = self.total_bits;
-        compress_frames(&mut self.ones_vc, &self.hist, tb, n, None);
-        compress_frames(
-            &mut self.tog_vc,
-            &self.hist,
-            tb,
-            n,
-            Some((&self.prev_last, self.has_prev)),
-        );
-        self.prev_last.copy_from_slice(&self.hist[(n - 1) * tb..n * tb]);
-        self.has_prev = true;
-        self.filled = 0;
-    }
-
-    /// Flushes every vertical counter into the per-lane accumulators.
-    /// `offsets` maps nets to word ranges (toggle totals fold per net).
-    fn flush(&mut self, offsets: &[u32]) {
-        self.compress_pending();
-        let num_nets = offsets.len() - 1;
-        let mut tmp = [0u64; VC_DEPTH];
-        for net in 0..num_nets {
-            for w in offsets[net] as usize..offsets[net + 1] as usize {
-                for (k, t) in tmp.iter_mut().enumerate() {
-                    *t = self.ones_vc[k][w];
-                    self.ones_vc[k][w] = 0;
-                }
-                vc_flush(
-                    &mut tmp,
-                    &mut self.ones_acc[w * self.n_lanes..(w + 1) * self.n_lanes],
-                );
-                for (k, t) in tmp.iter_mut().enumerate() {
-                    *t = self.tog_vc[k][w];
-                    self.tog_vc[k][w] = 0;
-                }
-                vc_flush(
-                    &mut tmp,
-                    &mut self.toggle_acc[net * self.n_lanes..(net + 1) * self.n_lanes],
-                );
-            }
-        }
     }
 }
 
@@ -1045,49 +850,5 @@ mod tests {
             simulate_batch(&n, &[unknown], 10, EngineKind::Packed),
             Err(SimError::UnknownInput(_))
         ));
-    }
-
-    /// The Harley–Seal batch counters must agree with naive per-lane
-    /// counting across full and partial batches, in both ones and
-    /// toggle modes, for many frames of pseudo-random data.
-    #[test]
-    fn batch_counters_match_naive_counts() {
-        const TB: usize = 5; // words per frame
-        let mut counters = BatchCounters::new(TB, 64, TB);
-        let offsets: Vec<u32> = (0..=TB as u32).collect(); // one 1-bit net per word
-        let mut exp_ones = vec![0u64; TB * 64];
-        let mut exp_tog = vec![0u64; TB * 64];
-        let mut prev: Option<[u64; TB]> = None;
-        let mut s = 0x243F_6A88_85A3_08D3u64;
-        let mut cycle = 0u64;
-        // Several runs of frame counts that leave partial batches behind.
-        for run in [3usize, 16, 17, 40, 1, 15] {
-            for _ in 0..run {
-                let mut frame = [0u64; TB];
-                for w in frame.iter_mut() {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    *w = s;
-                }
-                counters.add_cycle(&frame);
-                for (w, &cur) in frame.iter().enumerate() {
-                    for lane in 0..64 {
-                        exp_ones[w * 64 + lane] += (cur >> lane) & 1;
-                        if let Some(p) = prev {
-                            exp_tog[w * 64 + lane] += ((cur ^ p[w]) >> lane) & 1;
-                        }
-                    }
-                }
-                prev = Some(frame);
-                cycle += 1;
-            }
-            // Flush mid-stream: must compress the partial batch and keep
-            // toggle continuity into the next run.
-            counters.flush(&offsets);
-        }
-        assert!(cycle > 64);
-        assert_eq!(counters.ones_acc, exp_ones);
-        assert_eq!(counters.toggle_acc, exp_tog);
     }
 }

@@ -1,50 +1,34 @@
 //! Switching statistics collected during simulation.
+//!
+//! # Exact counting
+//!
+//! Every engine counts toggles and ones with one kernel,
+//! `BatchCounters`: *vertical counters* (bit-sliced carry-save counters,
+//! as in the bit-transition-counter literature) fed by a Harley–Seal
+//! carry-save adder tree. A *frame* is a slice of `u64` words and a *lane*
+//! is a bit position within a word; the kernel counts, per word and lane,
+//! how many frames had the bit set (ones) and how many frames changed it
+//! from the frame before (toggles, via `popcount(frame[t] ^ frame[t+1])`).
+//! The packed batch engine feeds one word per (net, bit) with lanes =
+//! stimulus plans; the single-plan testbench loop (`NetCounters`) feeds
+//! each cycle's net values packed side by side, so a lane is one bit of
+//! one net.
 
 use oiso_netlist::{NetId, Netlist};
 use std::collections::HashMap;
 
 /// Depth of a vertical (bit-sliced carry-save) counter: each counter holds
 /// per-lane counts up to `2^VC_DEPTH − 1` between flushes.
-pub(crate) const VC_DEPTH: usize = 16;
+const VC_DEPTH: usize = 16;
 
-/// Ripple-adds the lane word `x` into a vertical counter: one increment
-/// per set bit of `x`, all lanes at once, O(carry chain) word ops.
-///
-/// The first four levels are branchless: a data-dependent early exit there
-/// mispredicts on nearly every call (carry-chain length is random), which
-/// measured as the single largest cost of the packed batch loop. Carries
-/// that survive four levels are rare (~6% for random inputs), so the tail
-/// loop's entry branch predicts well.
-#[inline]
-pub(crate) fn vc_add(vc: &mut [u64], x: u64) {
-    let (head, tail) = vc.split_at_mut(4);
-    let t0 = head[0];
-    head[0] = t0 ^ x;
-    let mut c = t0 & x;
-    let t1 = head[1];
-    head[1] = t1 ^ c;
-    c &= t1;
-    let t2 = head[2];
-    head[2] = t2 ^ c;
-    c &= t2;
-    let t3 = head[3];
-    head[3] = t3 ^ c;
-    c &= t3;
-    if c != 0 {
-        for w in tail {
-            let t = *w;
-            *w = t ^ c;
-            c &= t;
-            if c == 0 {
-                return;
-            }
-        }
-        debug_assert_eq!(c, 0, "vertical counter overflow — flush interval too long");
-    }
-}
+/// Cycles between vertical-counter flushes. Each per-word counter gets at
+/// most one addition per cycle, so counts stay below
+/// `FLUSH_INTERVAL = 1000 < 2^16 − 1` with a wide safety margin (kept low
+/// so routine tests cross the flush boundary).
+pub(crate) const FLUSH_INTERVAL: u64 = 1000;
 
 /// Drains a vertical counter into per-lane accumulators and zeroes it.
-pub(crate) fn vc_flush(vc: &mut [u64], acc: &mut [u64]) {
+fn vc_flush(vc: &mut [u64], acc: &mut [u64]) {
     for (k, w) in vc.iter_mut().enumerate() {
         let mut word = *w;
         while word != 0 {
@@ -55,6 +39,271 @@ pub(crate) fn vc_flush(vc: &mut [u64], acc: &mut [u64]) {
             word &= word - 1;
         }
         *w = 0;
+    }
+}
+
+/// Number of settled frames buffered between counter compressions.
+const FRAME_BATCH: usize = 16;
+
+/// One carry-save adder step: returns `(sum, carry)` of three bit vectors.
+#[inline(always)]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    (u ^ c, (a & b) | (c & u))
+}
+
+/// Per-lane exact toggle/ones accumulation via vertical counters.
+///
+/// Settled frames are buffered [`FRAME_BATCH`] at a time; a Harley–Seal
+/// carry-save adder tree then compresses each word's 16 buffered values
+/// into a 5-level vertical number (counts 0..=16 per lane) in straight-line
+/// branchless code, which is added into a deep level-major counter bank.
+/// Amortized over the batch this is a few ops per word per cycle — far
+/// cheaper than maintaining the deep counters cycle by cycle, where every
+/// cycle pays its own carry propagation.
+pub(crate) struct BatchCounters {
+    n_lanes: usize,
+    total_bits: usize,
+    /// Frame ring: `hist[t * total_bits + w]` is word `w` of buffered
+    /// frame `t`. `filled` frames are pending compression.
+    hist: Vec<u64>,
+    filled: usize,
+    /// Last word values of the previously compressed batch — the frame
+    /// toggles of the next batch's first frame are counted against.
+    prev_last: Vec<u64>,
+    /// No frame precedes the very first one, so its toggle XOR is zero.
+    has_prev: bool,
+    /// Level-major vertical counters: `ones_vc[k][w]` is bit `k` of word
+    /// `w`'s per-lane ones count. `tog_vc` counts word toggles the same way.
+    ones_vc: Vec<Vec<u64>>,
+    tog_vc: Vec<Vec<u64>>,
+    /// `num_nets × n_lanes` flushed toggle totals (lane-major per net).
+    pub(crate) toggle_acc: Vec<u64>,
+    /// `total_bits × n_lanes` flushed ones totals (lane-major per word).
+    pub(crate) ones_acc: Vec<u64>,
+}
+
+/// Compresses `n` buffered frames (zero-padded to [`FRAME_BATCH`]) into a
+/// level-major counter bank. With `xor_prev` set, each frame is first
+/// XOR-ed against its predecessor (toggle counting); `prev.0` seeds the
+/// chain unless `prev.1` says there is no preceding frame.
+fn compress_frames(
+    bank: &mut [Vec<u64>],
+    hist: &[u64],
+    total_bits: usize,
+    n: usize,
+    xor_prev: Option<(&[u64], bool)>,
+) {
+    for w in 0..total_bits {
+        let mut d = [0u64; FRAME_BATCH];
+        match xor_prev {
+            Some((prev_last, has_prev)) => {
+                let mut p = prev_last[w];
+                for (t, slot) in d.iter_mut().take(n).enumerate() {
+                    let cur = hist[t * total_bits + w];
+                    *slot = cur ^ p;
+                    p = cur;
+                }
+                if !has_prev {
+                    d[0] = 0;
+                }
+            }
+            None => {
+                for (t, slot) in d.iter_mut().take(n).enumerate() {
+                    *slot = hist[t * total_bits + w];
+                }
+            }
+        }
+        // Harley–Seal: fold 16 inputs into ones/twos/fours/eights/sixteens.
+        let (mut ones, mut twos, mut fours, mut eights, mut sixteens) = (0u64, 0, 0, 0, 0);
+        let mut i = 0;
+        while i < FRAME_BATCH {
+            let (o1, t1) = csa(ones, d[i], d[i + 1]);
+            let (o2, t2) = csa(o1, d[i + 2], d[i + 3]);
+            let (tw1, f1) = csa(twos, t1, t2);
+            let (o3, t3) = csa(o2, d[i + 4], d[i + 5]);
+            let (o4, t4) = csa(o3, d[i + 6], d[i + 7]);
+            let (tw2, f2) = csa(tw1, t3, t4);
+            let (fo, e) = csa(fours, f1, f2);
+            let (ei, sx) = csa(eights, e, 0);
+            ones = o4;
+            twos = tw2;
+            fours = fo;
+            eights = ei;
+            sixteens |= sx;
+            i += 8;
+        }
+        // Add the 5-level number into the bank: branchless ripple through
+        // level 9 (counts stay < 2^10 between flushes), sparse tail above.
+        let num = [ones, twos, fours, eights, sixteens];
+        let mut c = 0u64;
+        for (k, slot) in bank.iter_mut().enumerate().take(10) {
+            let x = if k < num.len() { num[k] } else { 0 };
+            let s = slot[w];
+            let (lo, hi) = csa(s, x, c);
+            slot[w] = lo;
+            c = hi;
+        }
+        let mut k = 10;
+        while c != 0 {
+            debug_assert!(k < bank.len(), "vertical counter overflow");
+            let t = bank[k][w];
+            bank[k][w] = t ^ c;
+            c &= t;
+            k += 1;
+        }
+    }
+}
+
+impl BatchCounters {
+    pub(crate) fn new(total_bits: usize, n_lanes: usize, num_nets: usize) -> Self {
+        BatchCounters {
+            n_lanes,
+            total_bits,
+            hist: vec![0; FRAME_BATCH * total_bits],
+            filled: 0,
+            prev_last: vec![0; total_bits],
+            has_prev: false,
+            ones_vc: vec![vec![0; total_bits]; VC_DEPTH],
+            tog_vc: vec![vec![0; total_bits]; VC_DEPTH],
+            toggle_acc: vec![0; num_nets * n_lanes],
+            ones_acc: vec![0; total_bits * n_lanes],
+        }
+    }
+
+    /// Buffers one settled frame, compressing when the ring fills.
+    pub(crate) fn add_cycle(&mut self, words: &[u64]) {
+        let tb = self.total_bits;
+        self.hist[self.filled * tb..(self.filled + 1) * tb].copy_from_slice(words);
+        self.filled += 1;
+        if self.filled == FRAME_BATCH {
+            self.compress_pending();
+        }
+    }
+
+    /// Compresses any buffered frames into the vertical-counter banks.
+    fn compress_pending(&mut self) {
+        let n = self.filled;
+        if n == 0 {
+            return;
+        }
+        let tb = self.total_bits;
+        compress_frames(&mut self.ones_vc, &self.hist, tb, n, None);
+        compress_frames(
+            &mut self.tog_vc,
+            &self.hist,
+            tb,
+            n,
+            Some((&self.prev_last, self.has_prev)),
+        );
+        self.prev_last.copy_from_slice(&self.hist[(n - 1) * tb..n * tb]);
+        self.has_prev = true;
+        self.filled = 0;
+    }
+
+    /// Flushes every vertical counter into the per-lane accumulators.
+    /// `offsets` maps nets to word ranges (toggle totals fold per net).
+    pub(crate) fn flush(&mut self, offsets: &[u32]) {
+        self.compress_pending();
+        let num_nets = offsets.len() - 1;
+        let mut tmp = [0u64; VC_DEPTH];
+        for net in 0..num_nets {
+            for w in offsets[net] as usize..offsets[net + 1] as usize {
+                for (k, t) in tmp.iter_mut().enumerate() {
+                    *t = self.ones_vc[k][w];
+                    self.ones_vc[k][w] = 0;
+                }
+                vc_flush(
+                    &mut tmp,
+                    &mut self.ones_acc[w * self.n_lanes..(w + 1) * self.n_lanes],
+                );
+                for (k, t) in tmp.iter_mut().enumerate() {
+                    *t = self.tog_vc[k][w];
+                    self.tog_vc[k][w] = 0;
+                }
+                vc_flush(
+                    &mut tmp,
+                    &mut self.toggle_acc[net * self.n_lanes..(net + 1) * self.n_lanes],
+                );
+            }
+        }
+    }
+}
+
+/// Exact per-net toggle and per-bit ones counts of a single-plan run,
+/// through the [`BatchCounters`] kernel with lanes = bit positions.
+///
+/// Each cycle's net values are packed into a frame of words, a net at a
+/// time; a net that does not fit in the rest of the current word starts
+/// the next one. Net `n`'s bit `b` is then lane `shift + b` of word
+/// `word`, where `(word, shift) = place[n]`. Packing costs a shift and an
+/// OR per net and lets the kernel count several narrow nets per word.
+pub(crate) struct NetCounters {
+    place: Vec<(usize, u32)>,
+    frame: Vec<u64>,
+    /// One counter "net" per frame word: toggles are folded per net only
+    /// at the end, from the per-lane totals.
+    offsets: Vec<u32>,
+    counters: BatchCounters,
+    cycles: u64,
+}
+
+impl NetCounters {
+    pub(crate) fn new(netlist: &Netlist) -> Self {
+        const BITS: u32 = u64::BITS;
+        let mut place = Vec::with_capacity(netlist.num_nets());
+        let (mut word, mut used) = (0usize, 0u32);
+        for (_, net) in netlist.nets() {
+            let width = net.width() as u32;
+            if used + width > BITS {
+                word += 1;
+                used = 0;
+            }
+            place.push((word, used));
+            used += width;
+        }
+        let words = word + 1;
+        NetCounters {
+            place,
+            frame: vec![0; words],
+            offsets: (0..=words as u32).collect(),
+            counters: BatchCounters::new(words, BITS as usize, words),
+            cycles: 0,
+        }
+    }
+
+    /// Counts one cycle's settled values (indexed by net). Each value must
+    /// be masked to its net's width, as every engine keeps them; stray high
+    /// bits would land in the next net's lanes.
+    pub(crate) fn add_cycle(&mut self, values: &[u64]) {
+        self.frame.fill(0);
+        for (&v, &(word, shift)) in values.iter().zip(&self.place) {
+            self.frame[word] |= v << shift;
+        }
+        self.counters.add_cycle(&self.frame);
+        self.cycles += 1;
+        if self.cycles.is_multiple_of(FLUSH_INTERVAL) {
+            self.counters.flush(&self.offsets);
+        }
+    }
+
+    /// Per-net toggle totals and per-net, per-bit ones counts.
+    pub(crate) fn finish(mut self, netlist: &Netlist) -> (Vec<u64>, Vec<Vec<u64>>) {
+        self.counters.flush(&self.offsets);
+        let lanes = |id: NetId| {
+            let (word, shift) = self.place[id.index()];
+            let start = word * u64::BITS as usize + shift as usize;
+            start..start + netlist.net(id).width() as usize
+        };
+        let toggles = netlist
+            .nets()
+            .map(|(id, _)| self.counters.toggle_acc[lanes(id)].iter().sum())
+            .collect();
+        let ones = netlist
+            .nets()
+            .map(|(id, _)| self.counters.ones_acc[lanes(id)].to_vec())
+            .collect();
+        (toggles, ones)
     }
 }
 
@@ -74,8 +323,6 @@ pub struct SimReport {
     monitor_counts: Vec<u64>,
     /// Per monitor: number of value changes across consecutive cycles.
     monitor_transitions: Vec<u64>,
-    /// Per monitor: value in the previous recorded cycle.
-    monitor_prev: Vec<Option<bool>>,
     monitor_index: HashMap<String, usize>,
     /// Conditional toggle counts, by registration order.
     cond_toggle_counts: Vec<u64>,
@@ -113,7 +360,6 @@ impl SimReport {
                 .collect(),
             monitor_counts: vec![0; monitor_names.len()],
             monitor_transitions: vec![0; monitor_names.len()],
-            monitor_prev: vec![None; monitor_names.len()],
             monitor_index,
             cond_toggle_counts: vec![0; cond_toggle_names.len()],
             cond_toggle_index,
@@ -139,7 +385,6 @@ impl SimReport {
             ones,
             monitor_counts: Vec::new(),
             monitor_transitions: Vec::new(),
-            monitor_prev: Vec::new(),
             monitor_index: HashMap::new(),
             cond_toggle_counts: Vec::new(),
             cond_toggle_index: HashMap::new(),
@@ -148,8 +393,8 @@ impl SimReport {
     }
 
     /// Installs externally accumulated per-net toggle and ones counts — the
-    /// simulation loop counts them with vertical counters (cheaper than a
-    /// per-cycle per-bit scan) and deposits the totals here once at the end.
+    /// simulation loop counts them with the shared vertical-counter kernel
+    /// and deposits the totals here once at the end.
     pub(crate) fn set_net_counts(
         &mut self,
         cycles: u64,
@@ -182,16 +427,10 @@ impl SimReport {
         self.cycles += 1;
     }
 
-    pub(crate) fn record_monitor(&mut self, index: usize, fired: bool) {
-        if fired {
-            self.monitor_counts[index] += 1;
-        }
-        if let Some(prev) = self.monitor_prev[index] {
-            if prev != fired {
-                self.monitor_transitions[index] += 1;
-            }
-        }
-        self.monitor_prev[index] = Some(fired);
+    /// Adds a block's true-count and value changes to a monitor's totals.
+    pub(crate) fn record_monitor(&mut self, index: usize, count: u64, transitions: u64) {
+        self.monitor_counts[index] += count;
+        self.monitor_transitions[index] += transitions;
     }
 
     pub(crate) fn record_cond_toggles(&mut self, index: usize, toggles: u64) {
@@ -340,33 +579,55 @@ mod tests {
         let n = one_net();
         let mut r = SimReport::new(&n, &["act".to_string()]);
         r.record_cycle(None, &[0, 0]);
-        r.record_monitor(0, true);
         r.record_cycle(Some(&[0, 0]), &[0, 0]);
-        r.record_monitor(0, false);
+        r.record_monitor(0, 1, 1);
         assert_eq!(r.monitor_count("act"), Some(1));
         assert!((r.monitor_prob("act").unwrap() - 0.5).abs() < 1e-12);
         assert_eq!(r.monitor_count("missing"), None);
     }
 
+    /// The Harley–Seal batch counters must agree with naive per-lane
+    /// counting across full and partial batches, in both ones and
+    /// toggle modes, for many frames of pseudo-random data.
     #[test]
-    fn vertical_counter_add_and_flush_are_exact() {
-        let mut vc = vec![0u64; VC_DEPTH];
-        let mut expected = [0u64; 64];
-        // Deterministic pseudo-random words, many additions.
+    fn batch_counters_match_naive_counts() {
+        const TB: usize = 5; // words per frame
+        let mut counters = BatchCounters::new(TB, 64, TB);
+        let offsets: Vec<u32> = (0..=TB as u32).collect(); // one 1-bit net per word
+        let mut exp_ones = vec![0u64; TB * 64];
+        let mut exp_tog = vec![0u64; TB * 64];
+        let mut prev: Option<[u64; TB]> = None;
         let mut s = 0x243F_6A88_85A3_08D3u64;
-        for _ in 0..5000 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            vc_add(&mut vc, s);
-            for (lane, e) in expected.iter_mut().enumerate() {
-                *e += (s >> lane) & 1;
+        let mut cycle = 0u64;
+        // Several runs of frame counts that leave partial batches behind.
+        for run in [3usize, 16, 17, 40, 1, 15] {
+            for _ in 0..run {
+                let mut frame = [0u64; TB];
+                for w in frame.iter_mut() {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    *w = s;
+                }
+                counters.add_cycle(&frame);
+                for (w, &cur) in frame.iter().enumerate() {
+                    for lane in 0..64 {
+                        exp_ones[w * 64 + lane] += (cur >> lane) & 1;
+                        if let Some(p) = prev {
+                            exp_tog[w * 64 + lane] += ((cur ^ p[w]) >> lane) & 1;
+                        }
+                    }
+                }
+                prev = Some(frame);
+                cycle += 1;
             }
+            // Flush mid-stream: must compress the partial batch and keep
+            // toggle continuity into the next run.
+            counters.flush(&offsets);
         }
-        let mut acc = vec![0u64; 64];
-        vc_flush(&mut vc, &mut acc);
-        assert_eq!(acc.as_slice(), expected.as_slice());
-        assert!(vc.iter().all(|&w| w == 0), "flush must zero the counter");
+        assert!(cycle > 64);
+        assert_eq!(counters.ones_acc, exp_ones);
+        assert_eq!(counters.toggle_acc, exp_tog);
     }
 
     #[test]

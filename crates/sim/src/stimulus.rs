@@ -251,16 +251,20 @@ impl StimulusPlan {
         }
     }
 
-    /// Adds a driver for the named primary input.
+    /// Adds a driver for the named primary input. Driving an input again
+    /// overrides the earlier driver.
     pub fn drive(mut self, input: impl Into<String>, spec: StimulusSpec) -> Self {
         self.drivers.push((input.into(), spec));
         self
     }
 
-    /// The spec registered for `input`, if any.
+    /// The spec registered for `input`, if any. An input registered more
+    /// than once answers with its last registration, the one simulation
+    /// drives (a later driver overrides an earlier one).
     pub fn spec_for(&self, input: &str) -> Option<&StimulusSpec> {
         self.drivers
             .iter()
+            .rev()
             .find(|(name, _)| name == input)
             .map(|(_, spec)| spec)
     }
@@ -482,5 +486,14 @@ mod tests {
         let plan = StimulusPlan::new(0).drive("x", StimulusSpec::Constant(3));
         assert_eq!(plan.spec_for("x"), Some(&StimulusSpec::Constant(3)));
         assert_eq!(plan.spec_for("y"), None);
+    }
+
+    #[test]
+    fn spec_for_answers_with_the_last_registration() {
+        let plan = StimulusPlan::new(0)
+            .drive("x", StimulusSpec::Constant(3))
+            .drive("y", StimulusSpec::UniformRandom)
+            .drive("x", StimulusSpec::Constant(5));
+        assert_eq!(plan.spec_for("x"), Some(&StimulusSpec::Constant(5)));
     }
 }

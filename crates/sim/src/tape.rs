@@ -5,8 +5,10 @@
 //! to one [`TapeOp`] whose operands are pre-resolved indices into the dense
 //! per-net value arena. A cycle then replays the tape as a tight loop over
 //! a `Vec` of small enum values — no graph walking, no per-cell input
-//! gathering, no width lookups — which is what makes this the fastest
-//! single-plan engine (and the [`EngineKind`](crate::EngineKind) default).
+//! gathering, no width lookups — which is what makes the tape the fastest
+//! single-plan evaluator (and the [`EngineKind`](crate::EngineKind)
+//! default). Counting and monitors are not the tape's: every engine runs
+//! through the same block-sliced [`Testbench`](crate::Testbench) loop.
 //!
 //! Semantics are bit-identical to the scalar [`Simulator`]
 //! (crate::Simulator) by construction: each op replicates one arm of
@@ -355,8 +357,8 @@ impl<'a> CompiledSim<'a> {
 }
 
 impl SimBackend for CompiledSim<'_> {
-    fn set_input(&mut self, net: NetId, value: u64) {
-        CompiledSim::set_input(self, net, value);
+    fn write_input(&mut self, index: usize, value: u64) {
+        self.values[index] = value;
     }
 
     fn settle(&mut self) {

@@ -2,7 +2,7 @@
 
 use crate::engine::{EngineKind, SimBackend, Simulator};
 use crate::packed::PackedLane;
-use crate::stats::{vc_add, vc_flush, SimReport, VC_DEPTH};
+use crate::stats::{NetCounters, SimReport};
 use crate::stimulus::{Stimulus, StimulusError, StimulusPlan, StimulusSpec};
 use crate::tape::CompiledSim;
 use crate::vcd::VcdWriter;
@@ -101,6 +101,11 @@ pub struct Testbench<'a> {
     captures: Vec<NetId>,
     default_seed: u64,
 }
+
+/// Cycles per block of the testbench loop, one per bit of a `u64`:
+/// monitors and conditional toggles are evaluated once per block, on one
+/// bit-plane word per signal.
+const BLOCK: usize = 64;
 
 impl fmt::Debug for Testbench<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -247,6 +252,10 @@ impl<'a> Testbench<'a> {
         self.run_loop(&mut sim, cycles, Some(vcd))
     }
 
+    /// The loop every engine runs, in blocks of 64 cycles. Each cycle
+    /// drives the inputs, settles, counts the settled values and records
+    /// one bit per signal the monitors read; each block then evaluates
+    /// every monitor and condition once, on those 64-cycle bit-planes.
     fn run_loop<B: SimBackend, W: Write>(
         &mut self,
         sim: &mut B,
@@ -256,91 +265,104 @@ impl<'a> Testbench<'a> {
         if cycles == 0 {
             return Err(SimError::ZeroCycles);
         }
-        // Every primary input must have exactly one driver.
-        for &pi in self.netlist.primary_inputs() {
+        let netlist = self.netlist;
+        // Every primary input needs a driver. An input driven twice takes
+        // the later driver's value, as successive `set_input` calls would.
+        for &pi in netlist.primary_inputs() {
             if !self.drivers.iter().any(|(net, _)| *net == pi) {
-                return Err(SimError::UndrivenInput(
-                    self.netlist.net(pi).name().to_string(),
-                ));
+                return Err(SimError::UndrivenInput(netlist.net(pi).name().to_string()));
             }
         }
+        // Drivers target primary inputs (checked when attached), so each
+        // writes straight into its arena slot, masked to the net's width.
+        let slots: Vec<(usize, u64)> = self
+            .drivers
+            .iter()
+            .map(|(net, _)| (net.index(), netlist.net(*net).mask()))
+            .collect();
         let monitor_names: Vec<String> =
             self.monitors.iter().map(|(n, _)| n.clone()).collect();
         let cond_names: Vec<String> =
             self.cond_toggles.iter().map(|(n, _, _)| n.clone()).collect();
-        let mut report =
-            SimReport::with_cond_toggles(self.netlist, &monitor_names, &cond_names);
+        let mut report = SimReport::with_cond_toggles(netlist, &monitor_names, &cond_names);
         if let Some(w) = vcd.as_deref_mut() {
-            w.write_header(self.netlist)?;
+            w.write_header(netlist)?;
         }
-        // Persistent double buffer for the previous cycle's settled values
-        // (avoids a per-cycle allocation).
-        let num_nets = self.netlist.num_nets();
-        let mut prev = vec![0u64; num_nets];
-        let mut have_prev = false;
-        // Toggle counts accumulate directly (one popcount per net); ones
-        // counts go through per-net vertical counters — the counter at bit
-        // position b tallies how often bit b was 1, so one ripple-add
-        // replaces a per-bit scan of every net every cycle. One add per
-        // cycle bounds a counter by the flush interval, well under the
-        // 2^VC_DEPTH − 1 overflow limit.
-        const ONES_FLUSH_INTERVAL: u64 = 60_000;
-        let mut toggles = vec![0u64; num_nets];
-        let mut ones_vc = vec![0u64; num_nets * VC_DEPTH];
-        let mut ones: Vec<Vec<u64>> = self
-            .netlist
-            .nets()
-            .map(|(_, n)| vec![0; n.width() as usize])
+        let mut counts = NetCounters::new(netlist);
+        // Monitors and conditions read one bit-plane per signal of their
+        // supports: bit `t` is the signal's value in cycle `t` of the block.
+        let mut support: Vec<Signal> = self
+            .monitors
+            .iter()
+            .map(|(_, e)| e)
+            .chain(self.cond_toggles.iter().map(|(_, _, c)| c))
+            .flat_map(BoolExpr::support)
             .collect();
-        for cycle in 0..cycles {
-            for (net, stim) in &mut self.drivers {
-                let v = stim.next_value(cycle);
-                sim.set_input(*net, v);
-            }
-            sim.settle();
-            let vals = sim.values();
-            let prev_vals = if have_prev { Some(prev.as_slice()) } else { None };
-            for (net, &value) in vals.iter().enumerate() {
-                if let Some(prev_vals) = prev_vals {
-                    toggles[net] += (value ^ prev_vals[net]).count_ones() as u64;
+        support.sort_unstable();
+        support.dedup();
+        let mut planes = vec![0u64; support.len()];
+        // Per cycle of the block and conditional toggle monitor: the net's
+        // value XOR its value in the cycle before.
+        let conds = self.cond_toggles.len();
+        let mut cond_xor = vec![0u64; BLOCK * conds];
+        let mut cond_prev = vec![0u64; conds];
+        // Per monitor: its value in the last cycle of the previous block.
+        let mut monitor_last = vec![0u64; self.monitors.len()];
+        let mut prev = vec![0u64; if vcd.is_some() { netlist.num_nets() } else { 0 }];
+        let mut block_start = 0u64;
+        while block_start < cycles {
+            let n = (cycles - block_start).min(BLOCK as u64) as usize;
+            planes.fill(0);
+            for t in 0..n {
+                let cycle = block_start + t as u64;
+                for (&(index, mask), (_, stim)) in slots.iter().zip(&mut self.drivers) {
+                    sim.write_input(index, stim.next_value(cycle) & mask);
                 }
-                if value != 0 {
-                    vc_add(&mut ones_vc[net * VC_DEPTH..(net + 1) * VC_DEPTH], value);
+                sim.settle();
+                let vals = sim.values();
+                counts.add_cycle(vals);
+                for (plane, s) in planes.iter_mut().zip(&support) {
+                    *plane |= ((vals[s.net.index()] >> s.bit) & 1) << t;
                 }
-            }
-            if (cycle + 1) % ONES_FLUSH_INTERVAL == 0 {
-                for (net, vc) in ones_vc.chunks_exact_mut(VC_DEPTH).enumerate() {
-                    vc_flush(vc, &mut ones[net]);
+                for (i, (_, net, _)) in self.cond_toggles.iter().enumerate() {
+                    let v = vals[net.index()];
+                    cond_xor[t * conds + i] = v ^ cond_prev[i];
+                    cond_prev[i] = v;
                 }
+                for &net in &self.captures {
+                    report.record_trace(net, vals[net.index()]);
+                }
+                if let Some(w) = vcd.as_deref_mut() {
+                    w.write_cycle(netlist, cycle, vals, (cycle > 0).then_some(prev.as_slice()))?;
+                    prev.copy_from_slice(vals);
+                }
+                sim.clock_edge();
             }
+            let valid = u64::MAX >> (BLOCK - n);
+            // No cycle precedes global cycle 0, so it has no transitions.
+            let after_first = if block_start == 0 { valid & !1 } else { valid };
+            let plane = |s: Signal| {
+                planes[support.binary_search(&s).expect("signal is in the support")]
+            };
             for (i, (_, expr)) in self.monitors.iter().enumerate() {
-                let fired =
-                    expr.eval(&|s: Signal| (vals[s.net.index()] >> s.bit) & 1 == 1);
-                report.record_monitor(i, fired);
+                let fired = expr.eval_word(&plane) & valid;
+                let changed = (fired ^ ((fired << 1) | monitor_last[i])) & after_first;
+                report.record_monitor(i, fired.count_ones() as u64, changed.count_ones() as u64);
+                monitor_last[i] = (fired >> (n - 1)) & 1;
             }
-            for &net in &self.captures {
-                report.record_trace(net, vals[net.index()]);
-            }
-            if let Some(prev_vals) = prev_vals {
-                for (i, (_, net, condition)) in self.cond_toggles.iter().enumerate() {
-                    if condition.eval(&|s: Signal| (vals[s.net.index()] >> s.bit) & 1 == 1)
-                    {
-                        let toggles =
-                            (vals[net.index()] ^ prev_vals[net.index()]).count_ones();
-                        report.record_cond_toggles(i, toggles as u64);
-                    }
+            for (i, (_, _, condition)) in self.cond_toggles.iter().enumerate() {
+                let mut fired = condition.eval_word(&plane) & after_first;
+                let mut toggles = 0u64;
+                while fired != 0 {
+                    let t = fired.trailing_zeros() as usize;
+                    toggles += cond_xor[t * conds + i].count_ones() as u64;
+                    fired &= fired - 1;
                 }
+                report.record_cond_toggles(i, toggles);
             }
-            if let Some(w) = vcd.as_deref_mut() {
-                w.write_cycle(self.netlist, cycle, vals, prev_vals)?;
-            }
-            prev.copy_from_slice(vals);
-            have_prev = true;
-            sim.clock_edge();
+            block_start += n as u64;
         }
-        for (net, vc) in ones_vc.chunks_exact_mut(VC_DEPTH).enumerate() {
-            vc_flush(vc, &mut ones[net]);
-        }
+        let (toggles, ones) = counts.finish(netlist);
         report.set_net_counts(cycles, toggles, ones);
         Ok(report)
     }
