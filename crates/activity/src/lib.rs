@@ -28,8 +28,8 @@
 //!
 //! Calibration: `actbench` (in `oiso-bench`) and the repo's
 //! `activity_calibration` battery compare these static densities against
-//! packed-engine measured toggles on every bundled design and a mutant
-//! corpus; see `BENCH_activity.json` for the tracked per-design error.
+//! simulated toggles on every bundled design and a mutant corpus; see
+//! `BENCH_activity.json` for the tracked per-design error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

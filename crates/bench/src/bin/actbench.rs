@@ -4,8 +4,8 @@
 //! actbench [--cycles N] [--mutants M] [--json PATH] [--check]
 //! ```
 //!
-//! Two corpora, both compared net-by-net against the packed cycle
-//! simulator under each design's bundled stimulus plan:
+//! Two corpora, both compared net-by-net against the cycle simulator
+//! (compiled, the default engine) under each design's bundled stimulus plan:
 //!
 //! * **designs** — all eight bundled designs. These gate: `--check`
 //!   exits nonzero if any design's total static transition density
@@ -22,10 +22,9 @@
 
 use oiso_activity::{analyze_activity_with_plan, ActivityOptions};
 use oiso_bench::json::Json;
-use oiso_core::EngineKind;
 use oiso_designs::{bundled, BUNDLED_NAMES};
 use oiso_netlist::Netlist;
-use oiso_sim::{simulate_batch, StimulusPlan};
+use oiso_sim::{StimulusPlan, Testbench};
 use oiso_verify::mutate_netlist;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,10 +102,9 @@ fn compare(netlist: &Netlist, plan: &StimulusPlan, cycles: u64) -> Row {
     let static_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
-    let sim = simulate_batch(netlist, std::slice::from_ref(plan), cycles, EngineKind::Packed)
-        .expect("bundled plan drives every input")
-        .pop()
-        .expect("one report per plan");
+    let sim = Testbench::from_plan(netlist, plan)
+        .and_then(|mut tb| tb.run(cycles))
+        .expect("bundled plan drives every input");
     let sim_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     let mut static_total = 0.0;
@@ -233,7 +231,7 @@ fn main() -> ExitCode {
                 "methodology",
                 Json::str(
                     "static transition densities (analyze_activity_with_plan, default \
-                     node budget) vs packed-engine cycle simulation under each design's \
+                     node budget) vs compiled-engine cycle simulation under each design's \
                      bundled stimulus plan; rel_err = |static - measured| / max(measured, \
                      0.05) over the design-wide density sum; designs gate at TOTAL_TOL, \
                      mutants (oiso-verify structural mutations, deterministic seeds) are \

@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--table1] [--table2] [--figure1] [--sweep] [--styles]
 //!       [--baselines] [--ablation] [--all] [--cycles N] [--quick]
-//!       [--threads N] [--engine scalar|packed|compiled]
+//!       [--threads N] [--engine scalar|compiled]
 //! ```
 //!
 //! With no selection flags, `--all` is assumed. `--quick` shrinks the
@@ -11,7 +11,7 @@
 //! runs of each experiment (sweep grid points, table styles, ablation
 //! arms) across `N` workers — `0` means all cores — with **bit-identical
 //! output at every setting**; the default of 1 is the plain serial path.
-//! `--engine` selects the simulation engine; every engine produces
+//! `--engine` selects the simulation engine; both engines produce
 //! bit-identical results, so this only changes wall-clock time.
 
 use oiso_bench::json::{self, Json};
@@ -91,7 +91,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage: repro [--table1|--table2|--figure1|--sweep|--styles|\
                             --baselines|--ablation|--extras|--all] [--cycles N] [--quick] \
-                            [--threads N] [--engine scalar|packed|compiled]  (N=0 means all \
+                            [--threads N] [--engine scalar|compiled]  (N=0 means all \
                             cores; results are identical at every thread count and engine)"
                     .to_string());
             }

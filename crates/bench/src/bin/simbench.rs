@@ -1,15 +1,17 @@
-//! `simbench` — wall-clock comparison of the three simulation engines.
+//! `simbench` — wall-clock comparison of the two simulation engines.
 //!
 //! ```text
 //! simbench [--cycles N] [--seeds R] [--mutants M] [--json PATH] [--check]
 //! ```
 //!
-//! Two workloads, both measured per engine with identical stimulus plans:
+//! Two workloads, both measured per engine with identical stimulus plans,
+//! one `Testbench` run per plan:
 //!
 //! * **sweep** — the EXP-SW grid workload: design1 simulated under every
 //!   `default_grid()` point's stimulus plan, each replicated `--seeds`
-//!   times with distinct master seeds. This is the simulation load the
-//!   `repro --sweep` optimizer pays on every candidate evaluation.
+//!   times with distinct master seeds. These are the single-plan
+//!   `Testbench` runs the `repro --sweep` optimizer makes on every
+//!   candidate evaluation.
 //! * **fuzz-smoke** — a corpus of `oiso-verify` structural mutants of the
 //!   bundled designs, 8 seed-variant plans each: the load a fuzz smoke
 //!   run pays.
@@ -18,8 +20,8 @@
 //! and plans) and the checksums are asserted equal — a simbench run is
 //! also a coarse differential test. `--json PATH` writes the
 //! measurements as `BENCH_sim.json`; `--check` exits nonzero if the
-//! packed or compiled engine is slower than the scalar oracle on the
-//! sweep workload.
+//! compiled engine is slower than the scalar oracle on the sweep
+//! workload.
 
 use oiso_bench::json::Json;
 use oiso_bench::sweep::{default_grid, point_seed};
@@ -28,7 +30,7 @@ use oiso_core::EngineKind;
 use oiso_designs::design1::{build, Design1Params};
 use oiso_designs::bundled;
 use oiso_netlist::Netlist;
-use oiso_sim::{simulate_batch, StimulusPlan, StimulusSpec};
+use oiso_sim::{StimulusPlan, StimulusSpec, Testbench};
 use oiso_verify::mutate_netlist;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -156,9 +158,10 @@ fn measure(workload: &Workload, cycles: u64, engine: EngineKind) -> (f64, u64) {
     let start = Instant::now();
     let mut checksum = 0u64;
     for (netlist, plans) in &workload.items {
-        let reports = simulate_batch(netlist, plans, cycles, engine)
-            .unwrap_or_else(|e| panic!("{} on {engine}: {e}", workload.label));
-        for report in &reports {
+        for plan in plans {
+            let report = Testbench::from_plan(netlist, plan)
+                .and_then(|mut tb| tb.run_with_engine(cycles, engine))
+                .unwrap_or_else(|e| panic!("{} on {engine}: {e}", workload.label));
             for (id, _) in netlist.nets() {
                 checksum = checksum.wrapping_add(report.toggle_count(id));
             }
@@ -291,7 +294,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        println!("check passed: packed and compiled are no slower than scalar");
+        println!("check passed: compiled is no slower than scalar");
     }
 
     ExitCode::SUCCESS

@@ -15,7 +15,7 @@
 //! | `lookahead` | bool | `false` | one-cycle activation look-ahead (§5) |
 //! | `budget` | int | `200000`* | BDD node budget (verify / lint / analyze; `*` analyze defaults to [`oiso_activity::DEFAULT_ACTIVITY_NODE_BUDGET`]) |
 //! | `seed` | int | — | stimulus reseed ([`Design::with_seed`]) |
-//! | `engine` | string | `"compiled"` | simulation engine `scalar` / `packed` / `compiled` |
+//! | `engine` | string | `"compiled"` | simulation engine `scalar` / `compiled` |
 //!
 //! Unknown fields are rejected with `400 unknown_field` — a typo'd knob
 //! must fail loudly, not silently run with defaults.
@@ -331,8 +331,8 @@ impl ApiRequest {
         h.eat(u64::from(self.lookahead));
         h.eat(self.budget as u64);
         h.eat(self.seed.map_or(u64::MAX, |s| s));
-        // `engine` is deliberately absent: every engine produces the same
-        // bytes, so a cached scalar result may answer a packed request.
+        // `engine` is deliberately absent: both engines produce the same
+        // bytes, so a cached scalar result may answer a compiled request.
         h.0
     }
 
@@ -1072,6 +1072,7 @@ mod tests {
             ("{\"design\":\"figure1\",\"cycles\":\"many\"}", "bad_field"),
             ("{\"design\":\"figure1\",\"lookahead\":\"yes\"}", "bad_field"),
             ("{\"design\":\"figure1\",\"engine\":\"verilog\"}", "bad_field"),
+            ("{\"design\":\"figure1\",\"engine\":\"packed\"}", "bad_field"),
             ("{\"design\":\"figure1\",\"engine\":7}", "bad_field"),
             ("{\"design\":1}", "bad_field"),
             ("{\"design\"", "bad_json"),
@@ -1127,7 +1128,7 @@ mod tests {
         assert_ne!(base, key(Endpoint::Isolate, "{\"design\":\"design1\"}"));
         // Engines are bit-identical, so the engine choice shares the key.
         assert_eq!(base, key(Endpoint::Isolate, "{\"design\":\"figure1\",\"engine\":\"scalar\"}"));
-        assert_eq!(base, key(Endpoint::Isolate, "{\"design\":\"figure1\",\"engine\":\"packed\"}"));
+        assert_eq!(base, key(Endpoint::Isolate, "{\"design\":\"figure1\",\"engine\":\"compiled\"}"));
     }
 
     #[test]
@@ -1191,14 +1192,14 @@ mod tests {
         let scalar = parse("scalar").execute(&memo);
         assert_eq!(scalar.status, 200);
         assert_eq!(memo.stats().misses, 1);
-        // A packed request is served from the scalar-engine memo entry
+        // A compiled request is served from the scalar-engine memo entry
         // and produces byte-identical output.
-        let packed = parse("packed").execute(&memo);
-        assert_eq!(packed.status, 200);
+        let compiled = parse("compiled").execute(&memo);
+        assert_eq!(compiled.status, 200);
         assert_eq!(memo.stats().hits, 1);
-        assert_eq!(scalar.body, packed.body);
-        let compiled = parse("compiled").execute(&SimMemo::new());
         assert_eq!(scalar.body, compiled.body);
+        let fresh = parse("compiled").execute(&SimMemo::new());
+        assert_eq!(scalar.body, fresh.body);
     }
 
     #[test]

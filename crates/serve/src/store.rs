@@ -33,7 +33,7 @@
 //! directory without write interleaving. Keys are the result-cache
 //! fingerprints ([`crate::api::ApiRequest::cache_key`]) — engine choice
 //! is already excluded there, so a response computed under the scalar
-//! engine answers packed and compiled requests byte-identically.
+//! engine answers compiled requests byte-identically.
 
 use crate::http::Response;
 use oiso_core::{escape_json, parse_flat, JsonScalar};

@@ -18,46 +18,37 @@ use oiso_netlist::{comb_topo_order, CellId, CellKind, NetId, Netlist};
 
 /// Which simulation engine executes a run.
 ///
-/// All three engines are proven bit-identical by the differential test
-/// battery (`tests/sim_engine_equivalence.rs`): same netlist + same
-/// stimulus plan produce the same per-net toggle counts, per-bit static
-/// probabilities, waveforms, and monitor statistics on every engine.
-/// Because results are engine-invariant, the engine is deliberately *not*
-/// part of any fingerprint — [`SimMemo`](crate::SimMemo) entries and
-/// checkpoint journals are shared freely across engines.
+/// Both engines are proven bit-identical by the differential test battery
+/// (`tests/sim_engine_equivalence.rs`): same netlist + same stimulus plan
+/// produce the same per-net toggle counts, per-bit static probabilities,
+/// waveforms, and monitor statistics. Because results are
+/// engine-invariant, the engine is deliberately *not* part of any
+/// fingerprint — [`SimMemo`](crate::SimMemo) entries and checkpoint
+/// journals are shared freely across engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// The reference interpreter: walks the netlist graph cell by cell.
-    /// Kept as the oracle the other engines are differentially tested
+    /// Kept as the oracle the compiled engine is differentially tested
     /// against.
     Scalar,
-    /// Bit-parallel engine: packs up to 64 independent stimulus lanes into
-    /// each `u64` word and evaluates logic cells bitwise across all lanes
-    /// at once (see [`crate::packed`]). Meant for batch workloads
-    /// ([`simulate_batch`](crate::simulate_batch)), where it is fastest on
-    /// the sweep in `BENCH_sim.json`; a single-plan run uses one lane and
-    /// is slower than the other engines.
-    Packed,
     /// Compiled mode: levelizes the netlist once into a flat straight-line
     /// op tape (pre-resolved indices into the dense value arena) and
     /// replays the tape each cycle instead of re-walking the graph (see
-    /// [`crate::tape`]). Its tape is the fastest single-plan *evaluation*,
-    /// hence the default; statistics counting and monitors are the same
-    /// shared testbench loop on every engine.
+    /// [`crate::tape`]). The fast engine, hence the default; statistics
+    /// counting and monitors are the same shared testbench loop on both
+    /// engines.
     #[default]
     Compiled,
 }
 
 impl EngineKind {
-    /// All engines, in oracle-first order (test matrices iterate this).
-    pub const ALL: [EngineKind; 3] =
-        [EngineKind::Scalar, EngineKind::Packed, EngineKind::Compiled];
+    /// Both engines, oracle first (test matrices iterate this).
+    pub const ALL: [EngineKind; 2] = [EngineKind::Scalar, EngineKind::Compiled];
 
     /// Stable lowercase name (CLI flags, JSON fields, logs).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Scalar => "scalar",
-            EngineKind::Packed => "packed",
             EngineKind::Compiled => "compiled",
         }
     }
@@ -70,11 +61,8 @@ impl EngineKind {
     pub fn parse(raw: &str) -> Result<EngineKind, String> {
         match raw {
             "scalar" => Ok(EngineKind::Scalar),
-            "packed" => Ok(EngineKind::Packed),
             "compiled" => Ok(EngineKind::Compiled),
-            other => Err(format!(
-                "engine must be scalar|packed|compiled, got {other:?}"
-            )),
+            other => Err(format!("engine must be scalar|compiled, got {other:?}")),
         }
     }
 }
@@ -93,7 +81,7 @@ impl std::str::FromStr for EngineKind {
     }
 }
 
-/// The uniform surface the testbench drives: every engine exposes
+/// The uniform surface the testbench drives: each engine exposes
 /// per-cycle input application, combinational settling, the clock edge,
 /// and the settled value arena.
 pub(crate) trait SimBackend {

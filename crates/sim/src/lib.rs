@@ -46,7 +46,6 @@ pub mod analytic;
 pub mod engine;
 pub mod eval;
 pub mod memo;
-pub mod packed;
 pub mod replay;
 pub mod stats;
 pub mod stimulus;
@@ -57,7 +56,6 @@ pub mod vcd;
 pub use analytic::{propagate as propagate_activity, ActivityEstimate, BitStats};
 pub use engine::{EngineKind, Simulator};
 pub use memo::{MemoStats, SimMemo};
-pub use packed::{simulate_batch, PackedSimulator};
 pub use replay::{replay_vector, VectorAssignment, VectorOutcome};
 pub use stats::SimReport;
 pub use stimulus::{Stimulus, StimulusError, StimulusPlan, StimulusSpec};

@@ -2,17 +2,14 @@
 //!
 //! # Exact counting
 //!
-//! Every engine counts toggles and ones with one kernel,
-//! `BatchCounters`: *vertical counters* (bit-sliced carry-save counters,
-//! as in the bit-transition-counter literature) fed by a Harley–Seal
-//! carry-save adder tree. A *frame* is a slice of `u64` words and a *lane*
-//! is a bit position within a word; the kernel counts, per word and lane,
-//! how many frames had the bit set (ones) and how many frames changed it
-//! from the frame before (toggles, via `popcount(frame[t] ^ frame[t+1])`).
-//! The packed batch engine feeds one word per (net, bit) with lanes =
-//! stimulus plans; the single-plan testbench loop (`NetCounters`) feeds
-//! each cycle's net values packed side by side, so a lane is one bit of
-//! one net.
+//! Both engines count toggles and ones with one kernel, `NetCounters`:
+//! *vertical counters* (bit-sliced carry-save counters, as in the
+//! bit-transition-counter literature) fed by a Harley–Seal carry-save
+//! adder tree. Each cycle's settled net values are packed side by side
+//! into a *frame* of `u64` words, so a *lane* — a bit position within a
+//! word — is one bit of one net. The kernel counts, per word and lane, how
+//! many frames had the bit set (ones) and how many frames changed it from
+//! the frame before (toggles, via `popcount(frame[t] ^ frame[t+1])`).
 
 use oiso_netlist::{NetId, Netlist};
 use std::collections::HashMap;
@@ -25,7 +22,7 @@ const VC_DEPTH: usize = 16;
 /// most one addition per cycle, so counts stay below
 /// `FLUSH_INTERVAL = 1000 < 2^16 − 1` with a wide safety margin (kept low
 /// so routine tests cross the flush boundary).
-pub(crate) const FLUSH_INTERVAL: u64 = 1000;
+const FLUSH_INTERVAL: u64 = 1000;
 
 /// Drains a vertical counter into per-lane accumulators and zeroes it.
 fn vc_flush(vc: &mut [u64], acc: &mut [u64]) {
@@ -50,37 +47,6 @@ const FRAME_BATCH: usize = 16;
 fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
     let u = a ^ b;
     (u ^ c, (a & b) | (c & u))
-}
-
-/// Per-lane exact toggle/ones accumulation via vertical counters.
-///
-/// Settled frames are buffered [`FRAME_BATCH`] at a time; a Harley–Seal
-/// carry-save adder tree then compresses each word's 16 buffered values
-/// into a 5-level vertical number (counts 0..=16 per lane) in straight-line
-/// branchless code, which is added into a deep level-major counter bank.
-/// Amortized over the batch this is a few ops per word per cycle — far
-/// cheaper than maintaining the deep counters cycle by cycle, where every
-/// cycle pays its own carry propagation.
-pub(crate) struct BatchCounters {
-    n_lanes: usize,
-    total_bits: usize,
-    /// Frame ring: `hist[t * total_bits + w]` is word `w` of buffered
-    /// frame `t`. `filled` frames are pending compression.
-    hist: Vec<u64>,
-    filled: usize,
-    /// Last word values of the previously compressed batch — the frame
-    /// toggles of the next batch's first frame are counted against.
-    prev_last: Vec<u64>,
-    /// No frame precedes the very first one, so its toggle XOR is zero.
-    has_prev: bool,
-    /// Level-major vertical counters: `ones_vc[k][w]` is bit `k` of word
-    /// `w`'s per-lane ones count. `tog_vc` counts word toggles the same way.
-    ones_vc: Vec<Vec<u64>>,
-    tog_vc: Vec<Vec<u64>>,
-    /// `num_nets × n_lanes` flushed toggle totals (lane-major per net).
-    pub(crate) toggle_acc: Vec<u64>,
-    /// `total_bits × n_lanes` flushed ones totals (lane-major per word).
-    pub(crate) ones_acc: Vec<u64>,
 }
 
 /// Compresses `n` buffered frames (zero-padded to [`FRAME_BATCH`]) into a
@@ -155,96 +121,42 @@ fn compress_frames(
     }
 }
 
-impl BatchCounters {
-    pub(crate) fn new(total_bits: usize, n_lanes: usize, num_nets: usize) -> Self {
-        BatchCounters {
-            n_lanes,
-            total_bits,
-            hist: vec![0; FRAME_BATCH * total_bits],
-            filled: 0,
-            prev_last: vec![0; total_bits],
-            has_prev: false,
-            ones_vc: vec![vec![0; total_bits]; VC_DEPTH],
-            tog_vc: vec![vec![0; total_bits]; VC_DEPTH],
-            toggle_acc: vec![0; num_nets * n_lanes],
-            ones_acc: vec![0; total_bits * n_lanes],
-        }
-    }
-
-    /// Buffers one settled frame, compressing when the ring fills.
-    pub(crate) fn add_cycle(&mut self, words: &[u64]) {
-        let tb = self.total_bits;
-        self.hist[self.filled * tb..(self.filled + 1) * tb].copy_from_slice(words);
-        self.filled += 1;
-        if self.filled == FRAME_BATCH {
-            self.compress_pending();
-        }
-    }
-
-    /// Compresses any buffered frames into the vertical-counter banks.
-    fn compress_pending(&mut self) {
-        let n = self.filled;
-        if n == 0 {
-            return;
-        }
-        let tb = self.total_bits;
-        compress_frames(&mut self.ones_vc, &self.hist, tb, n, None);
-        compress_frames(
-            &mut self.tog_vc,
-            &self.hist,
-            tb,
-            n,
-            Some((&self.prev_last, self.has_prev)),
-        );
-        self.prev_last.copy_from_slice(&self.hist[(n - 1) * tb..n * tb]);
-        self.has_prev = true;
-        self.filled = 0;
-    }
-
-    /// Flushes every vertical counter into the per-lane accumulators.
-    /// `offsets` maps nets to word ranges (toggle totals fold per net).
-    pub(crate) fn flush(&mut self, offsets: &[u32]) {
-        self.compress_pending();
-        let num_nets = offsets.len() - 1;
-        let mut tmp = [0u64; VC_DEPTH];
-        for net in 0..num_nets {
-            for w in offsets[net] as usize..offsets[net + 1] as usize {
-                for (k, t) in tmp.iter_mut().enumerate() {
-                    *t = self.ones_vc[k][w];
-                    self.ones_vc[k][w] = 0;
-                }
-                vc_flush(
-                    &mut tmp,
-                    &mut self.ones_acc[w * self.n_lanes..(w + 1) * self.n_lanes],
-                );
-                for (k, t) in tmp.iter_mut().enumerate() {
-                    *t = self.tog_vc[k][w];
-                    self.tog_vc[k][w] = 0;
-                }
-                vc_flush(
-                    &mut tmp,
-                    &mut self.toggle_acc[net * self.n_lanes..(net + 1) * self.n_lanes],
-                );
-            }
-        }
-    }
-}
-
-/// Exact per-net toggle and per-bit ones counts of a single-plan run,
-/// through the [`BatchCounters`] kernel with lanes = bit positions.
+/// Exact per-net toggle and per-bit ones counts of a single-plan run.
 ///
 /// Each cycle's net values are packed into a frame of words, a net at a
 /// time; a net that does not fit in the rest of the current word starts
 /// the next one. Net `n`'s bit `b` is then lane `shift + b` of word
 /// `word`, where `(word, shift) = place[n]`. Packing costs a shift and an
 /// OR per net and lets the kernel count several narrow nets per word.
+///
+/// Frames are buffered [`FRAME_BATCH`] at a time; a Harley–Seal carry-save
+/// adder tree then compresses each word's 16 buffered values into a
+/// 5-level vertical number (counts 0..=16 per lane) in straight-line
+/// branchless code, which is added into a deep level-major counter bank.
+/// Amortized over the batch this is a few ops per word per cycle — far
+/// cheaper than maintaining the deep counters cycle by cycle, where every
+/// cycle pays its own carry propagation. Toggles are counted per word and
+/// lane too, and folded per net only at the end.
 pub(crate) struct NetCounters {
     place: Vec<(usize, u32)>,
-    frame: Vec<u64>,
-    /// One counter "net" per frame word: toggles are folded per net only
-    /// at the end, from the per-lane totals.
-    offsets: Vec<u32>,
-    counters: BatchCounters,
+    /// Words per frame.
+    words: usize,
+    /// Frame ring: `hist[t * words + w]` is word `w` of buffered frame
+    /// `t`. `filled` frames are pending compression.
+    hist: Vec<u64>,
+    filled: usize,
+    /// Last word values of the previously compressed batch — the frame
+    /// toggles of the next batch's first frame are counted against.
+    prev_last: Vec<u64>,
+    /// No frame precedes the very first one, so its toggle XOR is zero.
+    has_prev: bool,
+    /// Level-major vertical counters: `ones_vc[k][w]` is bit `k` of word
+    /// `w`'s per-lane ones count. `tog_vc` counts word toggles the same way.
+    ones_vc: Vec<Vec<u64>>,
+    tog_vc: Vec<Vec<u64>>,
+    /// Flushed toggle and ones totals: `acc[w * 64 + lane]` for word `w`.
+    toggle_acc: Vec<u64>,
+    ones_acc: Vec<u64>,
     cycles: u64,
 }
 
@@ -265,31 +177,82 @@ impl NetCounters {
         let words = word + 1;
         NetCounters {
             place,
-            frame: vec![0; words],
-            offsets: (0..=words as u32).collect(),
-            counters: BatchCounters::new(words, BITS as usize, words),
+            words,
+            hist: vec![0; FRAME_BATCH * words],
+            filled: 0,
+            prev_last: vec![0; words],
+            has_prev: false,
+            ones_vc: vec![vec![0; words]; VC_DEPTH],
+            tog_vc: vec![vec![0; words]; VC_DEPTH],
+            toggle_acc: vec![0; words * BITS as usize],
+            ones_acc: vec![0; words * BITS as usize],
             cycles: 0,
         }
     }
 
     /// Counts one cycle's settled values (indexed by net). Each value must
-    /// be masked to its net's width, as every engine keeps them; stray high
+    /// be masked to its net's width, as both engines keep them; stray high
     /// bits would land in the next net's lanes.
     pub(crate) fn add_cycle(&mut self, values: &[u64]) {
-        self.frame.fill(0);
+        let frame = &mut self.hist[self.filled * self.words..(self.filled + 1) * self.words];
+        frame.fill(0);
         for (&v, &(word, shift)) in values.iter().zip(&self.place) {
-            self.frame[word] |= v << shift;
+            frame[word] |= v << shift;
         }
-        self.counters.add_cycle(&self.frame);
+        self.filled += 1;
+        if self.filled == FRAME_BATCH {
+            self.compress_pending();
+        }
         self.cycles += 1;
         if self.cycles.is_multiple_of(FLUSH_INTERVAL) {
-            self.counters.flush(&self.offsets);
+            self.flush();
+        }
+    }
+
+    /// Compresses any buffered frames into the vertical-counter banks.
+    fn compress_pending(&mut self) {
+        let n = self.filled;
+        if n == 0 {
+            return;
+        }
+        let words = self.words;
+        compress_frames(&mut self.ones_vc, &self.hist, words, n, None);
+        compress_frames(
+            &mut self.tog_vc,
+            &self.hist,
+            words,
+            n,
+            Some((&self.prev_last, self.has_prev)),
+        );
+        self.prev_last
+            .copy_from_slice(&self.hist[(n - 1) * words..n * words]);
+        self.has_prev = true;
+        self.filled = 0;
+    }
+
+    /// Flushes every vertical counter into the per-lane accumulators.
+    fn flush(&mut self) {
+        self.compress_pending();
+        const LANES: usize = u64::BITS as usize;
+        let mut tmp = [0u64; VC_DEPTH];
+        for w in 0..self.words {
+            let lanes = w * LANES..(w + 1) * LANES;
+            for (k, t) in tmp.iter_mut().enumerate() {
+                *t = self.ones_vc[k][w];
+                self.ones_vc[k][w] = 0;
+            }
+            vc_flush(&mut tmp, &mut self.ones_acc[lanes.clone()]);
+            for (k, t) in tmp.iter_mut().enumerate() {
+                *t = self.tog_vc[k][w];
+                self.tog_vc[k][w] = 0;
+            }
+            vc_flush(&mut tmp, &mut self.toggle_acc[lanes]);
         }
     }
 
     /// Per-net toggle totals and per-net, per-bit ones counts.
     pub(crate) fn finish(mut self, netlist: &Netlist) -> (Vec<u64>, Vec<Vec<u64>>) {
-        self.counters.flush(&self.offsets);
+        self.flush();
         let lanes = |id: NetId| {
             let (word, shift) = self.place[id.index()];
             let start = word * u64::BITS as usize + shift as usize;
@@ -297,11 +260,11 @@ impl NetCounters {
         };
         let toggles = netlist
             .nets()
-            .map(|(id, _)| self.counters.toggle_acc[lanes(id)].iter().sum())
+            .map(|(id, _)| self.toggle_acc[lanes(id)].iter().sum())
             .collect();
         let ones = netlist
             .nets()
-            .map(|(id, _)| self.counters.ones_acc[lanes(id)].to_vec())
+            .map(|(id, _)| self.ones_acc[lanes(id)].to_vec())
             .collect();
         (toggles, ones)
     }
@@ -363,31 +326,6 @@ impl SimReport {
             monitor_index,
             cond_toggle_counts: vec![0; cond_toggle_names.len()],
             cond_toggle_index,
-            traces: HashMap::new(),
-        }
-    }
-
-    /// Builds a report directly from externally accumulated counts — the
-    /// packed batch engine computes per-lane toggle/ones totals with
-    /// vertical counters and materializes one report per lane through
-    /// this. Such reports carry no monitors or traces.
-    pub(crate) fn from_counts(
-        netlist: &Netlist,
-        cycles: u64,
-        toggles: Vec<u64>,
-        ones: Vec<Vec<u64>>,
-    ) -> Self {
-        debug_assert_eq!(toggles.len(), netlist.num_nets());
-        debug_assert_eq!(ones.len(), netlist.num_nets());
-        SimReport {
-            cycles,
-            toggles,
-            ones,
-            monitor_counts: Vec::new(),
-            monitor_transitions: Vec::new(),
-            monitor_index: HashMap::new(),
-            cond_toggle_counts: Vec::new(),
-            cond_toggle_index: HashMap::new(),
             traces: HashMap::new(),
         }
     }
@@ -586,48 +524,61 @@ mod tests {
         assert_eq!(r.monitor_count("missing"), None);
     }
 
-    /// The Harley–Seal batch counters must agree with naive per-lane
-    /// counting across full and partial batches, in both ones and
-    /// toggle modes, for many frames of pseudo-random data.
+    /// The Harley–Seal counters must agree with naive per-bit counting
+    /// across full and partial batches and mid-stream flushes, for many
+    /// frames of pseudo-random values on nets that share frame words and
+    /// nets that fill one.
     #[test]
-    fn batch_counters_match_naive_counts() {
-        const TB: usize = 5; // words per frame
-        let mut counters = BatchCounters::new(TB, 64, TB);
-        let offsets: Vec<u32> = (0..=TB as u32).collect(); // one 1-bit net per word
-        let mut exp_ones = vec![0u64; TB * 64];
-        let mut exp_tog = vec![0u64; TB * 64];
-        let mut prev: Option<[u64; TB]> = None;
+    fn net_counters_match_naive_counts() {
+        let mut b = NetlistBuilder::new("widths");
+        for (i, width) in [64u8, 5, 60, 1, 7, 64, 3].into_iter().enumerate() {
+            let net = b.input(format!("i{i}"), width);
+            b.mark_output(net);
+        }
+        let n = b.build().unwrap();
+        let masks: Vec<u64> = n.nets().map(|(_, net)| net.mask()).collect();
+        let mut counters = NetCounters::new(&n);
+        let mut exp_toggles = vec![0u64; masks.len()];
+        let mut exp_ones: Vec<Vec<u64>> = n
+            .nets()
+            .map(|(_, net)| vec![0; net.width() as usize])
+            .collect();
+        let mut prev: Option<Vec<u64>> = None;
         let mut s = 0x243F_6A88_85A3_08D3u64;
         let mut cycle = 0u64;
         // Several runs of frame counts that leave partial batches behind.
         for run in [3usize, 16, 17, 40, 1, 15] {
             for _ in 0..run {
-                let mut frame = [0u64; TB];
-                for w in frame.iter_mut() {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    *w = s;
-                }
-                counters.add_cycle(&frame);
-                for (w, &cur) in frame.iter().enumerate() {
-                    for lane in 0..64 {
-                        exp_ones[w * 64 + lane] += (cur >> lane) & 1;
-                        if let Some(p) = prev {
-                            exp_tog[w * 64 + lane] += ((cur ^ p[w]) >> lane) & 1;
-                        }
+                let values: Vec<u64> = masks
+                    .iter()
+                    .map(|&m| {
+                        s ^= s << 13;
+                        s ^= s >> 7;
+                        s ^= s << 17;
+                        s & m
+                    })
+                    .collect();
+                counters.add_cycle(&values);
+                for (net, &cur) in values.iter().enumerate() {
+                    for (bit, ones) in exp_ones[net].iter_mut().enumerate() {
+                        *ones += (cur >> bit) & 1;
+                    }
+                    if let Some(p) = &prev {
+                        exp_toggles[net] += u64::from((cur ^ p[net]).count_ones());
                     }
                 }
-                prev = Some(frame);
+                prev = Some(values);
                 cycle += 1;
             }
             // Flush mid-stream: must compress the partial batch and keep
             // toggle continuity into the next run.
-            counters.flush(&offsets);
+            counters.flush();
         }
         assert!(cycle > 64);
-        assert_eq!(counters.ones_acc, exp_ones);
-        assert_eq!(counters.toggle_acc, exp_tog);
+        assert_eq!(counters.words, 6, "packing shares and fills words");
+        let (toggles, ones) = counters.finish(&n);
+        assert_eq!(toggles, exp_toggles);
+        assert_eq!(ones, exp_ones);
     }
 
     #[test]

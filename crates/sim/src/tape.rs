@@ -5,10 +5,11 @@
 //! to one [`TapeOp`] whose operands are pre-resolved indices into the dense
 //! per-net value arena. A cycle then replays the tape as a tight loop over
 //! a `Vec` of small enum values — no graph walking, no per-cell input
-//! gathering, no width lookups — which is what makes the tape the fastest
-//! single-plan evaluator (and the [`EngineKind`](crate::EngineKind)
-//! default). Counting and monitors are not the tape's: every engine runs
-//! through the same block-sliced [`Testbench`](crate::Testbench) loop.
+//! gathering, no width lookups — which is what makes the tape the fast
+//! engine next to the scalar oracle (and the
+//! [`EngineKind`](crate::EngineKind) default). Counting and monitors are
+//! not the tape's: both engines run through the same block-sliced
+//! [`Testbench`](crate::Testbench) loop.
 //!
 //! Semantics are bit-identical to the scalar [`Simulator`]
 //! (crate::Simulator) by construction: each op replicates one arm of

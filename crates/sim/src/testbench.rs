@@ -1,7 +1,6 @@
 //! Testbench: stimulus + simulation + statistics in one call.
 
 use crate::engine::{EngineKind, SimBackend, Simulator};
-use crate::packed::PackedLane;
 use crate::stats::{NetCounters, SimReport};
 use crate::stimulus::{Stimulus, StimulusError, StimulusPlan, StimulusSpec};
 use crate::tape::CompiledSim;
@@ -140,7 +139,16 @@ impl<'a> Testbench<'a> {
     pub fn from_plan(netlist: &'a Netlist, plan: &StimulusPlan) -> Result<Self, SimError> {
         let mut tb = Testbench::new(netlist);
         tb.default_seed = plan.seed;
-        tb.drivers = instantiate_drivers(netlist, plan)?;
+        for (name, spec) in &plan.drivers {
+            let net = netlist
+                .find_net(name)
+                .ok_or_else(|| SimError::UnknownInput(name.clone()))?;
+            if !netlist.net(net).is_primary_input() {
+                return Err(SimError::NotAnInput(name.clone()));
+            }
+            let stim = spec.instantiate(netlist.net(net).width(), plan.seed_for(name))?;
+            tb.drivers.push((net, stim));
+        }
         Ok(tb)
     }
 
@@ -209,7 +217,7 @@ impl<'a> Testbench<'a> {
         self.run_with_engine(cycles, EngineKind::default())
     }
 
-    /// Runs the simulation on a specific engine. All engines produce
+    /// Runs the simulation on a specific engine. Both engines produce
     /// bit-identical reports (the differential suite enforces this); the
     /// choice only affects wall-clock time.
     ///
@@ -225,10 +233,6 @@ impl<'a> Testbench<'a> {
         match engine {
             EngineKind::Scalar => {
                 let mut sim = Simulator::new(self.netlist);
-                self.run_loop(&mut sim, cycles, no_vcd)
-            }
-            EngineKind::Packed => {
-                let mut sim = PackedLane::new(self.netlist);
                 self.run_loop(&mut sim, cycles, no_vcd)
             }
             EngineKind::Compiled => {
@@ -252,7 +256,7 @@ impl<'a> Testbench<'a> {
         self.run_loop(&mut sim, cycles, Some(vcd))
     }
 
-    /// The loop every engine runs, in blocks of 64 cycles. Each cycle
+    /// The loop both engines run, in blocks of 64 cycles. Each cycle
     /// drives the inputs, settles, counts the settled values and records
     /// one bit per signal the monitors read; each block then evaluates
     /// every monitor and condition once, on those 64-cycle bit-planes.
@@ -366,30 +370,6 @@ impl<'a> Testbench<'a> {
         report.set_net_counts(cycles, toggles, ones);
         Ok(report)
     }
-}
-
-/// A plan's instantiated drivers: each driven net with its stimulus.
-pub(crate) type Drivers = Vec<(NetId, Box<dyn Stimulus>)>;
-
-/// Instantiates a plan's drivers against a netlist, with the same checks
-/// [`Testbench::from_plan`] performs (unknown input, non-input target,
-/// invalid spec). Shared with the packed batch path.
-pub(crate) fn instantiate_drivers(
-    netlist: &Netlist,
-    plan: &StimulusPlan,
-) -> Result<Drivers, SimError> {
-    let mut drivers = Vec::with_capacity(plan.drivers.len());
-    for (name, spec) in &plan.drivers {
-        let net = netlist
-            .find_net(name)
-            .ok_or_else(|| SimError::UnknownInput(name.clone()))?;
-        if !netlist.net(net).is_primary_input() {
-            return Err(SimError::NotAnInput(name.clone()));
-        }
-        let stim = spec.instantiate(netlist.net(net).width(), plan.seed_for(name))?;
-        drivers.push((net, stim));
-    }
-    Ok(drivers)
 }
 
 #[cfg(test)]

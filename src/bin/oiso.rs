@@ -5,7 +5,7 @@
 //! oiso activation <design.oiso> [--lookahead]        # activation functions
 //! oiso simulate   <design.oiso> [--cycles N] [--engine E] # power/timing report
 //! oiso isolate    <design.oiso> [--style and|or|latch]
-//!                 [--cycles N] [--engine scalar|packed|compiled]
+//!                 [--cycles N] [--engine scalar|compiled]
 //!                 [--threads N] [--lookahead]
 //!                 [--deadline SECS] [--max-skipped N]
 //!                 [--checkpoint FILE] [--resume FILE]
@@ -134,7 +134,7 @@ struct Options {
 
 const USAGE: &str = "usage: oiso <show|activation|simulate|isolate|optimize|verify> <design.oiso> \
                      [--style and|or|latch] [--cycles N] \
-                     [--engine scalar|packed|compiled] [--threads N] [--lookahead] \
+                     [--engine scalar|compiled] [--threads N] [--lookahead] \
                      [--fsm-dc] [--budget N] [--deadline SECS] [--max-skipped N] \
                      [--checkpoint FILE] [--resume FILE] \
                      [--out FILE] [--verilog FILE] [--dot FILE]\n\
@@ -143,8 +143,8 @@ const USAGE: &str = "usage: oiso <show|activation|simulate|isolate|optimize|veri
                      [--sabotage force-false|negate]\n\
                      --threads N evaluates isolation candidates (or fuzz cases) on N worker \
                      threads (0 = all cores); the result is identical at every setting\n\
-                     --engine picks the simulation engine (default compiled); every engine \
-                     is bit-identical, only wall-clock differs\n\
+                     --engine picks the simulation engine (default compiled); both engines \
+                     are bit-identical, only wall-clock differs\n\
                      --deadline stops the run gracefully (best-so-far, labeled truncated); \
                      --checkpoint/--resume journal and replay accepted work\n\
                      fault injection (testing the harness itself): --inject-panic N panics \

@@ -4,8 +4,8 @@
 //! (which pins per-net accuracy on the bundled designs close to the
 //! engine):
 //!
-//! * design-wide static density stays within `TOTAL_TOL` of the packed
-//!   cycle simulator on every bundled design;
+//! * design-wide static density stays within `TOTAL_TOL` of the cycle
+//!   simulator on every bundled design;
 //! * the analyzer holds a looser `MUTANT_TOL` off the happy path, on
 //!   structural mutants it was never tuned for;
 //! * activity pre-ranking is simulation-free: a ranking-on optimize run
@@ -20,7 +20,7 @@ use operand_isolation::activity::{analyze_activity_with_plan, ActivityOptions};
 use operand_isolation::core::{optimize_with_memo, IsolationConfig, IsolationOutcome, RunBudget};
 use operand_isolation::designs::{bundled, BUNDLED_NAMES};
 use operand_isolation::netlist::Netlist;
-use operand_isolation::sim::{simulate_batch, EngineKind, SimMemo, StimulusPlan};
+use operand_isolation::sim::{SimMemo, StimulusPlan, Testbench};
 use operand_isolation::verify::mutate_netlist;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,13 +36,12 @@ const MUTANT_TOL: f64 = 0.20;
 
 const CYCLES: u64 = 8_000;
 
-/// Total static density vs packed-engine measured density on one plan.
+/// Total static density vs simulated density on one plan.
 fn density_gap(netlist: &Netlist, plan: &StimulusPlan, cycles: u64) -> (f64, f64) {
     let report = analyze_activity_with_plan(netlist, plan, &ActivityOptions::default());
-    let sim = simulate_batch(netlist, std::slice::from_ref(plan), cycles, EngineKind::Packed)
-        .expect("bundled plan drives every input")
-        .pop()
-        .expect("one report per plan");
+    let sim = Testbench::from_plan(netlist, plan)
+        .and_then(|mut tb| tb.run(cycles))
+        .expect("bundled plan drives every input");
     let mut stat = 0.0;
     let mut meas = 0.0;
     for (id, _) in netlist.nets() {

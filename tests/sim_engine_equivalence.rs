@@ -1,20 +1,18 @@
-//! Differential test battery for the three simulation engines.
+//! Differential test battery for the two simulation engines.
 //!
-//! `oiso-sim` promises that the scalar interpreter (the oracle), the
-//! bit-parallel packed engine, and the compiled op-tape engine are
-//! **bit-identical**: same per-net toggle counts, same static
-//! probabilities, same captured waveforms, same power reports, and the
-//! same accepted-candidate sequence out of `optimize()` at every thread
-//! count. These tests enforce that promise on all bundled benchmark
-//! designs, on a corpus of structural mutants, and across the packed
-//! engine's lane-blocking boundaries (1, 63, 64, 65, 1000 vectors).
+//! `oiso-sim` promises that the scalar interpreter (the oracle) and the
+//! compiled op-tape engine are **bit-identical**: same per-net toggle
+//! counts, same static probabilities, same captured waveforms, same power
+//! reports, and the same accepted-candidate sequence out of `optimize()`
+//! at every thread count. These tests enforce that promise on all bundled
+//! benchmark designs and on a corpus of structural mutants.
 
 use operand_isolation::core::{optimize, EngineKind, IsolationConfig};
 use operand_isolation::designs::{bundled, textfmt, BUNDLED_NAMES};
 use operand_isolation::netlist::Netlist;
 use operand_isolation::power::PowerEstimator;
 use operand_isolation::sim::analytic::{propagate, spec_stats, BitStats};
-use operand_isolation::sim::{simulate_batch, SimReport, StimulusPlan, Testbench};
+use operand_isolation::sim::{SimReport, StimulusPlan, Testbench};
 use operand_isolation::techlib::{OperatingConditions, TechLibrary};
 use operand_isolation::verify::mutate_netlist;
 use rand::rngs::StdRng;
@@ -105,37 +103,6 @@ fn mutant_corpus_is_bit_identical_across_engines() {
 }
 
 #[test]
-fn batch_lane_counts_match_scalar_at_blocking_boundaries() {
-    // 1, 63, 64, 65 straddle the 64-lane block boundary; 1000 exercises
-    // many full blocks plus a ragged tail.
-    let design = bundled("figure1").expect("figure1");
-    for &n_vectors in &[1usize, 63, 64, 65, 1000] {
-        let plans: Vec<StimulusPlan> = (0..n_vectors)
-            .map(|i| design.stimuli.clone().with_seed(i as u64))
-            .collect();
-        let cycles = if n_vectors > 100 { 120 } else { 400 };
-        let scalar = simulate_batch(&design.netlist, &plans, cycles, EngineKind::Scalar)
-            .expect("scalar batch");
-        let packed = simulate_batch(&design.netlist, &plans, cycles, EngineKind::Packed)
-            .expect("packed batch");
-        let compiled = simulate_batch(&design.netlist, &plans, cycles, EngineKind::Compiled)
-            .expect("compiled batch");
-        assert_eq!(scalar.len(), n_vectors);
-        assert_eq!(packed.len(), n_vectors);
-        assert_eq!(compiled.len(), n_vectors);
-        for lane in 0..n_vectors {
-            for engine_reports in [&packed, &compiled] {
-                assert_eq!(
-                    report_signature(&design.netlist, &scalar[lane]),
-                    report_signature(&design.netlist, &engine_reports[lane]),
-                    "{n_vectors} vectors, lane {lane}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn optimizer_accepts_identical_candidates_at_every_engine_and_thread_count() {
     let design = bundled("design1").expect("design1");
     let base = IsolationConfig::default().with_sim_cycles(400);
@@ -177,15 +144,15 @@ fn optimizer_accepts_identical_candidates_at_every_engine_and_thread_count() {
 }
 
 /// Golden regression: the closed-form activity estimates of
-/// `oiso_sim::analytic` pinned against the packed engine's empirical
+/// `oiso_sim::analytic` pinned against the compiled engine's empirical
 /// estimates on `examples/gated_alu.oiso`.
 ///
 /// Tolerances: pinned analytic values are exact to 1e-9 (a drifting
-/// closed form is a bug, not noise); packed empirical toggle rates must
+/// closed form is a bug, not noise); compiled empirical toggle rates must
 /// sit within 10% relative (floor 0.05 absolute on the denominator) of
 /// the analytic prediction at 30k cycles.
 #[test]
-fn gated_alu_analytic_golden_tracks_packed_empirical() {
+fn gated_alu_analytic_golden_tracks_compiled_empirical() {
     let source = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/examples/gated_alu.oiso"
@@ -219,8 +186,8 @@ fn gated_alu_analytic_golden_tracks_packed_empirical() {
 
     let report = Testbench::from_plan(netlist, &design.stimuli)
         .expect("plan")
-        .run_with_engine(30_000, EngineKind::Packed)
-        .expect("packed run");
+        .run_with_engine(30_000, EngineKind::Compiled)
+        .expect("compiled run");
     for &(name, _) in pinned {
         let net = netlist.find_net(name).expect("net");
         let predicted = analytic.toggle_rate(net);
@@ -228,7 +195,7 @@ fn gated_alu_analytic_golden_tracks_packed_empirical() {
         let denom = measured.max(0.05);
         assert!(
             (predicted - measured).abs() / denom <= 0.10,
-            "`{name}`: analytic {predicted:.4} vs packed empirical {measured:.4}"
+            "`{name}`: analytic {predicted:.4} vs compiled empirical {measured:.4}"
         );
     }
 }
