@@ -18,7 +18,7 @@
 //! correlation (lag-one) are both handled exactly; only correlation
 //! *between* distinct source bits is assumed away.
 
-use oiso_boolex::{Bdd, BddRef, BoolExpr, NodeBudget, ProbabilityMemo, Signal};
+use oiso_boolex::{encode_cell, Bdd, BddRef, BoolExpr, NodeBudget, ProbabilityMemo, Signal};
 use oiso_netlist::{Cell, CellKind, Netlist};
 use std::collections::HashMap;
 
@@ -499,7 +499,14 @@ impl ExactPass {
         Some((p, d))
     }
 
+    /// The cell's per-bit functions in `phase`, or `None` when an input is
+    /// uncovered or the kind is not bit-level modeled: multipliers become
+    /// word-change pseudo-sources, and the algebraic estimator takes over
+    /// for anything else [`encode_cell`] declines.
     fn eval_phase(&mut self, netlist: &Netlist, cell: &Cell, phase: Phase) -> Option<Vec<BddRef>> {
+        if cell.kind() == CellKind::Mul {
+            return None;
+        }
         let width = netlist.net(cell.output()).width() as usize;
         let ins: Option<Vec<&[BddRef]>> = cell
             .inputs()
@@ -511,7 +518,7 @@ impl ExactPass {
                 })
             })
             .collect();
-        eval_kind(&mut self.bdd, cell.kind(), &ins?, width)
+        encode_cell(&mut self.bdd, cell.kind(), &ins?, width, |_| false)
     }
 }
 
@@ -519,228 +526,6 @@ impl ExactPass {
 enum Phase {
     Cur,
     Nxt,
-}
-
-/// Evaluates one cell kind over per-bit input functions. `None` means the
-/// kind is not bit-level modeled (Mul, dynamic shifts, stateful cells).
-fn eval_kind(
-    bdd: &mut Bdd,
-    kind: CellKind,
-    ins: &[&[BddRef]],
-    width: usize,
-) -> Option<Vec<BddRef>> {
-    let bit = |ins: &[&[BddRef]], i: usize, j: usize| ins.get(i).and_then(|s| s.get(j)).copied();
-    match kind {
-        CellKind::Const { value } => Some(
-            (0..width)
-                .map(|j| {
-                    if (value >> j) & 1 == 1 {
-                        BddRef::TRUE
-                    } else {
-                        BddRef::FALSE
-                    }
-                })
-                .collect(),
-        ),
-        CellKind::Buf => (0..width).map(|j| bit(ins, 0, j)).collect(),
-        CellKind::Not => (0..width)
-            .map(|j| bit(ins, 0, j).map(|b| bdd.not(b)))
-            .collect(),
-        CellKind::And | CellKind::Or | CellKind::Xor => {
-            let mut out = Vec::with_capacity(width);
-            for j in 0..width {
-                let mut acc = bit(ins, 0, j)?;
-                for slice in ins.iter().skip(1) {
-                    let b = *slice.get(j)?;
-                    acc = match kind {
-                        CellKind::And => bdd.and(acc, b),
-                        CellKind::Or => bdd.or(acc, b),
-                        _ => bdd.xor(acc, b),
-                    };
-                }
-                out.push(acc);
-            }
-            Some(out)
-        }
-        CellKind::RedOr => {
-            let mut acc = BddRef::FALSE;
-            for &b in *ins.first()? {
-                acc = bdd.or(acc, b);
-            }
-            Some(vec![acc])
-        }
-        CellKind::RedAnd => {
-            let mut acc = BddRef::TRUE;
-            for &b in *ins.first()? {
-                acc = bdd.and(acc, b);
-            }
-            Some(vec![acc])
-        }
-        CellKind::Zext => Some(
-            (0..width)
-                .map(|j| bit(ins, 0, j).unwrap_or(BddRef::FALSE))
-                .collect(),
-        ),
-        CellKind::Slice { lo, .. } => (0..width)
-            .map(|j| bit(ins, 0, lo as usize + j))
-            .collect(),
-        CellKind::Concat => {
-            // Inputs are listed most-significant first: the low bits of the
-            // output come from the *last* input.
-            let mut bits = Vec::new();
-            for slice in ins.iter().rev() {
-                bits.extend_from_slice(slice);
-            }
-            if bits.len() < width {
-                return None;
-            }
-            bits.truncate(width);
-            Some(bits)
-        }
-        CellKind::Mux => {
-            let sel = *ins.first()?;
-            let n_data = ins.len().checked_sub(1)?;
-            if n_data == 0 {
-                return None;
-            }
-            // Select values ≥ n_data−1 clamp to the last data input (the
-            // simulator's convention).
-            let mut conds = Vec::with_capacity(n_data);
-            let mut rest = BddRef::TRUE;
-            for k in 0..n_data {
-                if k + 1 == n_data {
-                    conds.push(rest);
-                    break;
-                }
-                let mut eq = if sel.len() < 63 && (k >> sel.len()) != 0 {
-                    BddRef::FALSE // k is not representable in the select
-                } else {
-                    BddRef::TRUE
-                };
-                for (i, &sbit) in sel.iter().enumerate() {
-                    let lit = if (k >> i) & 1 == 1 {
-                        sbit
-                    } else {
-                        bdd.not(sbit)
-                    };
-                    eq = bdd.and(eq, lit);
-                }
-                let ne = bdd.not(eq);
-                rest = bdd.and(rest, ne);
-                conds.push(eq);
-            }
-            let mut out = Vec::with_capacity(width);
-            for j in 0..width {
-                let mut acc = BddRef::FALSE;
-                for (k, &cond) in conds.iter().enumerate() {
-                    let d = bit(ins, 1 + k, j)?;
-                    let term = bdd.and(cond, d);
-                    acc = bdd.or(acc, term);
-                }
-                out.push(acc);
-            }
-            Some(out)
-        }
-        CellKind::Add | CellKind::Sub => {
-            let a = *ins.first()?;
-            let b = *ins.get(1)?;
-            if a.len() < width || b.len() < width {
-                return None;
-            }
-            let subtract = kind == CellKind::Sub;
-            let mut carry = if subtract {
-                BddRef::TRUE
-            } else {
-                BddRef::FALSE
-            };
-            let mut out = Vec::with_capacity(width);
-            for j in 0..width {
-                let aj = a[j];
-                let bj = if subtract { bdd.not(b[j]) } else { b[j] };
-                let axb = bdd.xor(aj, bj);
-                out.push(bdd.xor(axb, carry));
-                let g = bdd.and(aj, bj);
-                let prop = bdd.and(carry, axb);
-                carry = bdd.or(g, prop);
-            }
-            Some(out)
-        }
-        CellKind::Eq => {
-            let a = *ins.first()?;
-            let b = *ins.get(1)?;
-            if a.len() != b.len() {
-                return None;
-            }
-            let mut acc = BddRef::TRUE;
-            for (&aj, &bj) in a.iter().zip(b.iter()) {
-                let x = bdd.xor(aj, bj);
-                let xn = bdd.not(x);
-                acc = bdd.and(acc, xn);
-            }
-            Some(vec![acc])
-        }
-        CellKind::Lt => {
-            let a = *ins.first()?;
-            let b = *ins.get(1)?;
-            if a.len() != b.len() {
-                return None;
-            }
-            // `a < b` is the borrow out of `a − b`.
-            let mut borrow = BddRef::FALSE;
-            for (&aj, &bj) in a.iter().zip(b.iter()) {
-                let na = bdd.not(aj);
-                let g = bdd.and(na, bj);
-                let x = bdd.xor(aj, bj);
-                let nx = bdd.not(x);
-                let prop = bdd.and(nx, borrow);
-                borrow = bdd.or(g, prop);
-            }
-            Some(vec![borrow])
-        }
-        CellKind::Shl | CellKind::Shr => {
-            // out = a shifted by sh, zero once sh ≥ width: a one-hot mux
-            // over each representable shift amount below the width (any
-            // other amount leaves every disjunct false, i.e. zero).
-            let a = *ins.first()?;
-            let sh = *ins.get(1)?;
-            let left = kind == CellKind::Shl;
-            let mut terms: Vec<(usize, BddRef)> = Vec::new();
-            for k in 0..width {
-                if sh.len() < 63 && (k >> sh.len()) != 0 {
-                    break; // amount not representable in the shift input
-                }
-                let mut eq = BddRef::TRUE;
-                for (i, &sbit) in sh.iter().enumerate() {
-                    let lit = if (k >> i) & 1 == 1 {
-                        sbit
-                    } else {
-                        bdd.not(sbit)
-                    };
-                    eq = bdd.and(eq, lit);
-                }
-                terms.push((k, eq));
-            }
-            let mut out = Vec::with_capacity(width);
-            for j in 0..width {
-                let mut acc = BddRef::FALSE;
-                for &(k, eq) in &terms {
-                    let src = if left {
-                        j.checked_sub(k).and_then(|i| a.get(i).copied())
-                    } else {
-                        a.get(j + k).copied()
-                    };
-                    let Some(src) = src else { continue }; // shifted-in zero
-                    let term = bdd.and(eq, src);
-                    acc = bdd.or(acc, term);
-                }
-                out.push(acc);
-            }
-            Some(out)
-        }
-        // Not bit-level modeled: word-level approximations from the
-        // algebraic estimator take over for these and their fanout.
-        CellKind::Mul | CellKind::Latch | CellKind::Reg { .. } => None,
-    }
 }
 
 /// Activity of a Boolean expression over nets with known per-bit activity.

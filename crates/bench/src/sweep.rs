@@ -14,6 +14,7 @@
 
 use oiso_core::{optimize_with_memo, IsolationConfig, IsolationError};
 use oiso_designs::design1::{build, Design1Params};
+use oiso_netlist::Fnv;
 use oiso_sim::{SimMemo, StimulusSpec};
 use std::fmt::Write as _;
 
@@ -51,14 +52,10 @@ pub fn default_grid() -> Vec<(f64, f64)> {
 /// processed by a parallel worker pool — the per-point result is a pure
 /// function of `(base_seed, p_active, toggle_rate)` and nothing else.
 pub fn point_seed(base_seed: u64, p_active: f64, toggle_rate: f64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ base_seed;
-    for v in [p_active.to_bits(), toggle_rate.to_bits()] {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
+    let mut h = Fnv::seeded(base_seed).legacy_prime();
+    h.f64(p_active);
+    h.f64(toggle_rate);
+    h.finish()
 }
 
 /// Runs the sweep on design1.

@@ -20,10 +20,14 @@
 //! * **[`NodeBudget`]**: one shared, atomically-debited allocation
 //!   budget handle that verify, lint, precheck, and activity can carry
 //!   through a whole run instead of each keeping a private ceiling.
+//! * **[`encode_cell`]**: the one BDD meaning of every netlist cell kind,
+//!   shared by the equivalence checker and static activity.
 
+mod cells;
 mod manager;
 mod parallel;
 
+pub use cells::encode_cell;
 pub use manager::{Bdd, BddRef, ProbabilityMemo};
 pub use parallel::BddOp;
 

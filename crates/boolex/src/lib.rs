@@ -13,7 +13,8 @@
 //! * [`Bdd`]: the pipeline's one ROBDD engine (complement edges, sifting
 //!   reorder, shared [`NodeBudget`], deterministic parallel apply), used
 //!   by the minimizer here and by equivalence checking, the static
-//!   precheck, and static activity downstream,
+//!   precheck, and static activity downstream — including
+//!   [`encode_cell`], the one BDD encoding of every netlist cell kind,
 //! * [`minimize`]: the Minato–Morreale ISOP minimizer, run on that engine,
 //! * [`synth`]: synthesis of an expression into 1-bit netlist gates — the
 //!   *activation logic* inserted by the isolation transform — either as
@@ -48,7 +49,7 @@ pub mod expr;
 pub mod simplify;
 pub mod synth;
 
-pub use bdd::{Bdd, BddOp, BddRef, NodeBudget, ProbabilityMemo, ReorderPolicy};
+pub use bdd::{encode_cell, Bdd, BddOp, BddRef, NodeBudget, ProbabilityMemo, ReorderPolicy};
 pub use expr::{BoolExpr, Signal};
 pub use simplify::minimize;
 pub use synth::{synthesize_bdd_into, synthesize_into, synthesize_into_cached};

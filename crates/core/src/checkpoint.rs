@@ -27,7 +27,7 @@
 
 use crate::transform::IsolationStyle;
 use oiso_boolex::{BoolExpr, Signal};
-use oiso_netlist::NetId;
+use oiso_netlist::{Fnv, NetId};
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
@@ -385,43 +385,6 @@ pub fn config_fingerprint(config: &crate::algorithm::IsolationConfig) -> u64 {
         None => h.u64(0),
     }
     h.finish()
-}
-
-// ---------------------------------------------------------------------------
-// FNV-1a
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@
 //! inputs simply has no closed FSM and is left untouched.
 
 use oiso_boolex::{simplify::minimize_with_care, BoolExpr, Signal};
-use oiso_netlist::{comb_topo_order, CellId, CellKind, NetId, Netlist};
-use oiso_sim::eval::eval_comb_cell;
+use oiso_netlist::{comb_topo_order, eval_comb_cell, CellId, CellKind, NetId, Netlist};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A register whose next-state logic is self-contained, with its

@@ -13,16 +13,17 @@
 //!   combinational fanout, so synthesizing `AS` and wiring the banks
 //!   would create a combinational cycle.
 //!
-//! [`precheck_candidate`] decides these three statically — the constant
-//! cases via a BDD under a node budget, so pathological cones degrade to
-//! "inconclusive, simulate anyway" instead of blowing up. The check runs
-//! serially in candidate order and depends only on the netlist and the
-//! activation expression, so enabling it never perturbs thread-count
-//! determinism. `oiso-lint` reuses the same verdicts for its diagnostics.
+//! [`precheck_candidate`] decides these three statically — feedback by
+//! [`feedback_net`], the constant cases via a BDD under a node budget, so
+//! pathological cones degrade to "inconclusive, simulate anyway" instead
+//! of blowing up. The check runs serially in candidate order and depends
+//! only on the netlist and the activation expression, so enabling it
+//! never perturbs thread-count determinism. `oiso-lint` reuses the same
+//! verdicts for its diagnostics.
 
 use oiso_activity::{ActivityLookup, ActivityReport};
 use oiso_boolex::{Bdd, BddRef, BoolExpr, NodeBudget};
-use oiso_netlist::{transitive_fanout, CellId, Netlist};
+use oiso_netlist::{transitive_fanout, CellId, NetId, Netlist};
 use std::collections::HashSet;
 
 /// BDD node budget used when the run's [`crate::RunBudget`] does not set
@@ -95,8 +96,31 @@ pub fn precheck_candidate_with_budget(
 ) -> Option<PrecheckVerdict> {
     // Feedback first: it is cheap, and a looping activation must never
     // reach the BDD path (the expression is fine, the wiring is not).
+    if let Some(net) = feedback_net(netlist, cell, activation) {
+        return Some(PrecheckVerdict::Feedback {
+            via: netlist.net(net).name().to_string(),
+        });
+    }
+
+    match constant_check_with_budget(activation, budget) {
+        ConstCheck::Proved(Some(true)) => Some(PrecheckVerdict::ConstantTrue),
+        ConstCheck::Proved(Some(false)) => Some(PrecheckVerdict::ConstantFalse),
+        // Not constant, or too big to decide statically: simulate instead.
+        ConstCheck::Proved(None) | ConstCheck::Undecided => None,
+    }
+}
+
+/// The structural half of [`precheck_candidate`]: the first net of
+/// `activation`'s support that `cell` or its combinational fanout drives
+/// (registers break the path; transparent latches do not), or `None`.
+///
+/// The isolation transform synthesizes the activation into logic feeding
+/// the candidate's operand banks, so an activation reading such a net
+/// would close a combinational cycle. The optimizer's precheck, the plan
+/// verifier and lint's OL006 all ask this one question.
+pub fn feedback_net(netlist: &Netlist, cell: CellId, activation: &BoolExpr) -> Option<NetId> {
     let out = netlist.cell(cell).output();
-    let mut fed_nets: HashSet<_> = HashSet::new();
+    let mut fed_nets: HashSet<NetId> = HashSet::new();
     fed_nets.insert(out);
     for load in transitive_fanout(netlist, out, true) {
         // `transitive_fanout` includes the registers it stops at; a net
@@ -106,20 +130,11 @@ pub fn precheck_candidate_with_budget(
             fed_nets.insert(netlist.cell(load).output());
         }
     }
-    for sig in activation.support() {
-        if fed_nets.contains(&sig.net) {
-            return Some(PrecheckVerdict::Feedback {
-                via: netlist.net(sig.net).name().to_string(),
-            });
-        }
-    }
-
-    match constant_check_with_budget(activation, budget) {
-        ConstCheck::Proved(Some(true)) => Some(PrecheckVerdict::ConstantTrue),
-        ConstCheck::Proved(Some(false)) => Some(PrecheckVerdict::ConstantFalse),
-        // Not constant, or too big to decide statically: simulate instead.
-        ConstCheck::Proved(None) | ConstCheck::Undecided => None,
-    }
+    activation
+        .support()
+        .into_iter()
+        .map(|sig| sig.net)
+        .find(|net| fed_nets.contains(net))
 }
 
 /// Outcome of the constant-activation decision, exposing whether the BDD
@@ -285,50 +300,37 @@ mod tests {
     }
 
     #[test]
-    fn feedback_through_own_fanout_is_caught() {
-        // The adder's sum reduces to a 1-bit flag that gates the adder
-        // itself: an activation depending on it would loop.
+    fn feedback_sees_through_gates_but_not_registers() {
+        // The adder's sum reduces to a 1-bit flag that gates the register
+        // it feeds; a second flag reads the *registered* copy.
         let mut b = NetlistBuilder::new("fb");
         let a = b.input("a", 8);
         let c = b.input("c", 8);
         let s = b.wire("s", 8);
         let nz = b.wire("nz", 1);
         let q = b.wire("q", 8);
+        let qnz = b.wire("qnz", 1);
         b.cell("add", CellKind::Add, &[a, c], s).unwrap();
         b.cell("red", CellKind::RedOr, &[s], nz).unwrap();
         b.cell("r", CellKind::Reg { has_enable: true }, &[s, nz], q)
             .unwrap();
-        b.mark_output(q);
-        let n = b.build().unwrap();
-        let add = n.find_cell("add").unwrap();
-        let act = BoolExpr::var(Signal { net: n.find_net("nz").unwrap(), bit: 0 });
-        match precheck_candidate(&n, add, &act, 1_000) {
-            Some(PrecheckVerdict::Feedback { via }) => assert_eq!(via, "nz"),
-            other => panic!("expected feedback verdict, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn registered_dependency_is_not_feedback() {
-        // Activation reading the *registered* copy of the output is legal
-        // (one cycle of delay breaks the loop).
-        let mut b = NetlistBuilder::new("ok");
-        let a = b.input("a", 8);
-        let c = b.input("c", 8);
-        let en = b.input("en", 1);
-        let s = b.wire("s", 8);
-        let q = b.wire("q", 8);
-        let qnz = b.wire("qnz", 1);
-        b.cell("add", CellKind::Add, &[a, c], s).unwrap();
-        b.cell("r", CellKind::Reg { has_enable: true }, &[s, en], q)
-            .unwrap();
-        b.cell("red", CellKind::RedOr, &[q], qnz).unwrap();
+        b.cell("qred", CellKind::RedOr, &[q], qnz).unwrap();
         b.mark_output(q);
         b.mark_output(qnz);
         let n = b.build().unwrap();
         let add = n.find_cell("add").unwrap();
-        let act = BoolExpr::var(Signal { net: n.find_net("qnz").unwrap(), bit: 0 });
-        assert_eq!(precheck_candidate(&n, add, &act, 1_000), None);
+        let var = |name: &str| BoolExpr::var(Signal::bit0(n.find_net(name).unwrap()));
+        // The adder's own output, and a gate in its fanout: cycles.
+        assert_eq!(feedback_net(&n, add, &var("s")), n.find_net("s"));
+        assert_eq!(feedback_net(&n, add, &var("nz")), n.find_net("nz"));
+        match precheck_candidate(&n, add, &var("nz"), 1_000) {
+            Some(PrecheckVerdict::Feedback { via }) => assert_eq!(via, "nz"),
+            other => panic!("expected feedback verdict, got {other:?}"),
+        }
+        // Behind the register (one cycle of delay breaks the loop): legal.
+        assert_eq!(feedback_net(&n, add, &var("q")), None);
+        assert_eq!(feedback_net(&n, add, &var("qnz")), None);
+        assert_eq!(precheck_candidate(&n, add, &var("qnz"), 1_000), None);
     }
 
     #[test]

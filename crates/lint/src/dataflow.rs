@@ -8,11 +8,13 @@
 //!   values (`X`), seeded by stateful cells that provably never load
 //!   (enable constant 0), with the usual masking semantics (AND with 0,
 //!   OR with all-ones, a constant mux select choosing a defined branch).
-//! * **Backward static observability** — the liveness sweep of the
-//!   optimizer's dead-logic pass: a cell is observable when a primary
+//!   All-constant cells fold through [`oiso_netlist::eval_comb_cell`], the
+//!   simulator's own word semantics.
+//! * **Backward static observability** — [`oiso_netlist::live_cells`],
+//!   the optimizer's dead-logic sweep: a cell is observable when a primary
 //!   output or a stateful element transitively reads its result.
 
-use oiso_netlist::{CellId, CellKind, NetId, Netlist};
+use oiso_netlist::{eval_comb_cell, live_cells, CellId, CellKind, NetId, Netlist};
 use std::collections::HashSet;
 
 /// What a net provably carries, every cycle, forever.
@@ -53,7 +55,7 @@ impl Dataflow {
 pub fn analyze(netlist: &Netlist) -> Dataflow {
     Dataflow {
         values: propagate(netlist),
-        live_cells: liveness(netlist),
+        live_cells: live_cells(netlist),
     }
 }
 
@@ -154,96 +156,9 @@ fn eval_cell(netlist: &Netlist, cid: CellId, values: &[NetValue]) -> NetValue {
         })
         .collect();
     match consts {
-        Some(vals) => NetValue::Const(fold_const(netlist, cid, &vals)),
+        Some(vals) => NetValue::Const(eval_comb_cell(netlist, cell, &vals)),
         None => NetValue::Varies,
     }
-}
-
-/// Evaluates a combinational cell on all-constant inputs, mirroring the
-/// simulator's (and `opt`'s folding pass') semantics.
-fn fold_const(netlist: &Netlist, cid: CellId, vals: &[u64]) -> u64 {
-    let cell = netlist.cell(cid);
-    let out_mask = netlist.net(cell.output()).mask();
-    let in_width = |i: usize| netlist.net(cell.inputs()[i]).width();
-    let full = |i: usize| {
-        let w = in_width(i);
-        if w == 64 {
-            u64::MAX
-        } else {
-            (1u64 << w) - 1
-        }
-    };
-    let raw = match cell.kind() {
-        CellKind::Add => vals[0].wrapping_add(vals[1]),
-        CellKind::Sub => vals[0].wrapping_sub(vals[1]),
-        CellKind::Mul => vals[0].wrapping_mul(vals[1]),
-        CellKind::Shl => {
-            if vals[1] >= 64 {
-                0
-            } else {
-                vals[0] << vals[1]
-            }
-        }
-        CellKind::Shr => {
-            if vals[1] >= 64 {
-                0
-            } else {
-                vals[0] >> vals[1]
-            }
-        }
-        CellKind::Lt => (vals[0] < vals[1]) as u64,
-        CellKind::Eq => (vals[0] == vals[1]) as u64,
-        CellKind::Mux => {
-            let n_data = vals.len() - 1;
-            vals[1 + (vals[0] as usize).min(n_data - 1)]
-        }
-        CellKind::And => vals.iter().copied().fold(u64::MAX, |a, b| a & b),
-        CellKind::Or => vals.iter().copied().fold(0, |a, b| a | b),
-        CellKind::Xor => vals.iter().copied().fold(0, |a, b| a ^ b),
-        CellKind::Not => !vals[0],
-        CellKind::Buf | CellKind::Zext => vals[0],
-        CellKind::RedOr => (vals[0] != 0) as u64,
-        CellKind::RedAnd => (vals[0] == full(0)) as u64,
-        CellKind::Const { value } => value,
-        CellKind::Slice { lo, hi } => (vals[0] >> lo) & (((1u128 << (hi - lo + 1)) - 1) as u64),
-        CellKind::Concat => {
-            let mut acc = 0u64;
-            for (i, &v) in vals.iter().enumerate() {
-                acc = (acc << in_width(i)) | v;
-            }
-            acc
-        }
-        CellKind::Reg { .. } | CellKind::Latch => unreachable!("stateful handled by caller"),
-    };
-    raw & out_mask
-}
-
-/// Backward observability: the optimizer's liveness sweep.
-fn liveness(netlist: &Netlist) -> HashSet<CellId> {
-    let mut live_cells: HashSet<CellId> = HashSet::new();
-    let mut stack: Vec<NetId> = netlist.primary_outputs().to_vec();
-    for (cid, cell) in netlist.cells() {
-        if cell.kind().is_stateful() {
-            live_cells.insert(cid);
-            for &inp in cell.inputs() {
-                stack.push(inp);
-            }
-        }
-    }
-    let mut visited: HashSet<NetId> = HashSet::new();
-    while let Some(net) = stack.pop() {
-        if !visited.insert(net) {
-            continue;
-        }
-        if let Some(driver) = netlist.net(net).driver() {
-            if live_cells.insert(driver) {
-                for &inp in netlist.cell(driver).inputs() {
-                    stack.push(inp);
-                }
-            }
-        }
-    }
-    live_cells
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@ use oiso_activity::{ActivityOptions, ActivityReport};
 use oiso_boolex::BoolExpr;
 use oiso_core::activation::{derive_activation_functions, ActivationConfig};
 use oiso_core::precheck::{
-    constant_check, precheck_candidate, ConstCheck, PrecheckVerdict, DEFAULT_PRECHECK_NODE_BUDGET,
+    constant_check, feedback_net, ConstCheck, PrecheckVerdict, DEFAULT_PRECHECK_NODE_BUDGET,
 };
-use oiso_netlist::{CellId, CellKind, NetId, Netlist, ValidateError};
+use oiso_netlist::{CellId, CellKind, Fnv, NetId, Netlist, ValidateError};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
@@ -99,14 +99,11 @@ fn sampled_constant(expr: &BoolExpr) -> Option<bool> {
     let mut all_false = true;
     for v in 0..SAMPLE_VECTORS {
         let value = expr.eval(&|sig| {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut h = Fnv::new();
             for word in [v, sig.net.index() as u64, sig.bit as u64] {
-                for b in word.to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
+                h.u64(word);
             }
-            h.count_ones() % 2 == 1
+            h.finish().count_ones() % 2 == 1
         });
         all_true &= value;
         all_false &= !value;
@@ -150,10 +147,7 @@ impl<'a> LintContext<'a> {
                 // No pre-minimization here: `minimize` is an unbudgeted BDD
                 // pass, and it must not decide a query the node budget says
                 // we cannot afford to prove.
-                if matches!(
-                    precheck_candidate(self.netlist, cid, act, self.options.bdd_node_budget),
-                    Some(PrecheckVerdict::Feedback { .. })
-                ) {
+                if feedback_net(self.netlist, cid, act).is_some() {
                     continue;
                 }
                 let decision = match constant_check(act, self.options.bdd_node_budget) {
@@ -499,8 +493,8 @@ fn rule_glitch_prone(ctx: &LintContext) -> Vec<Diagnostic> {
 fn rule_feedback(ctx: &LintContext) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (cid, act) in ctx.candidates() {
-        let verdict = precheck_candidate(ctx.netlist, cid, act, ctx.options.bdd_node_budget);
-        if let Some(PrecheckVerdict::Feedback { via }) = verdict {
+        if let Some(net) = feedback_net(ctx.netlist, cid, act) {
+            let via = ctx.netlist.net(net).name();
             let cell = ctx.netlist.cell(cid).name().to_string();
             out.push(Diagnostic {
                 code: "OL006",

@@ -1,5 +1,5 @@
 //! Graph traversals over the netlist: topological ordering, levelization,
-//! and transitive fanin/fanout cones.
+//! transitive fanin/fanout cones, and static observability.
 
 use crate::cell::CellKind;
 use crate::id::{CellId, NetId};
@@ -233,6 +233,36 @@ pub fn input_support(netlist: &Netlist, net: NetId) -> Vec<NetId> {
     }
     support.sort();
     support
+}
+
+/// Cells whose result is statically observable: every stateful cell, plus
+/// every cell a primary output or a stateful cell's input transitively
+/// reads. Registers and latches are observable state, so they are live
+/// and keep their fanin alive.
+///
+/// The dead-logic pass of [`crate::opt`] removes every cell outside this
+/// set; `oiso-lint` reports them.
+pub fn live_cells(netlist: &Netlist) -> HashSet<CellId> {
+    let mut live: HashSet<CellId> = HashSet::new();
+    let mut stack: Vec<NetId> = netlist.primary_outputs().to_vec();
+    for (cid, cell) in netlist.cells() {
+        if cell.kind().is_stateful() {
+            live.insert(cid);
+            stack.extend_from_slice(cell.inputs());
+        }
+    }
+    let mut visited: HashSet<NetId> = HashSet::new();
+    while let Some(net) = stack.pop() {
+        if !visited.insert(net) {
+            continue;
+        }
+        if let Some(driver) = netlist.net(net).driver() {
+            if live.insert(driver) {
+                stack.extend_from_slice(netlist.cell(driver).inputs());
+            }
+        }
+    }
+    live
 }
 
 #[cfg(test)]

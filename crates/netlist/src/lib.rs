@@ -12,6 +12,8 @@
 //! * partitioning into *combinational blocks* bounded by sequential cells
 //!   and primary I/O ([`partition`]) — the unit at which the paper derives
 //!   activation functions and isolates candidates,
+//! * the word-level meaning of every combinational cell kind
+//!   ([`eval_comb_cell`]), shared by the simulators and the cleanup pass,
 //! * DOT and structural-Verilog export for inspection.
 //!
 //! # Examples
@@ -48,6 +50,7 @@
 pub mod builder;
 pub mod cell;
 pub mod dot;
+pub mod eval;
 pub mod graph;
 pub mod id;
 pub mod net;
@@ -60,10 +63,13 @@ pub mod verilog;
 
 pub use builder::{BuildError, NetlistBuilder};
 pub use cell::{Cell, CellKind, PortRole};
-pub use graph::{comb_topo_order, input_support, levelize, transitive_fanin, transitive_fanout};
+pub use eval::eval_comb_cell;
+pub use graph::{
+    comb_topo_order, input_support, levelize, live_cells, transitive_fanin, transitive_fanout,
+};
 pub use id::{CellId, NetId};
 pub use net::Net;
-pub use netlist::Netlist;
+pub use netlist::{Fnv, Netlist};
 pub use opt::{optimize as optimize_netlist, OptStats};
 pub use partition::{partition_into_blocks, CombBlock};
 pub use stats::NetlistStats;

@@ -57,7 +57,7 @@ impl Net {
 /// # Panics
 ///
 /// Panics if `width` is 0 or exceeds 64.
-pub(crate) fn mask(width: u8) -> u64 {
+pub fn mask(width: u8) -> u64 {
     assert!((1..=64).contains(&width), "net width must be 1..=64");
     if width == 64 {
         u64::MAX

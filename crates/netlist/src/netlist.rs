@@ -310,7 +310,7 @@ impl Netlist {
     /// The hash is FNV-1a over an explicit field encoding, so it is stable
     /// across runs, platforms, and compiler versions (unlike `std::hash`).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv::new().legacy_prime();
         h.str(&self.name);
         h.u64(self.nets.len() as u64);
         for net in &self.nets {
@@ -378,35 +378,95 @@ impl Netlist {
     }
 }
 
-/// Minimal FNV-1a accumulator used by [`Netlist::fingerprint`]. Strings are
-/// hashed with a length prefix so field boundaries cannot alias.
-struct Fnv(u64);
+/// The workspace's one FNV-1a accumulator (64-bit, offset basis
+/// `0xcbf29ce484222325`, prime `0x100000001b3`).
+///
+/// Every fingerprint, seed and checksum that leaves the process — netlist
+/// and stimulus fingerprints, per-input stimulus seeds, checkpoint and
+/// fuzz-journal keys, store checksums, serve cache keys — is built on it,
+/// so the byte stream each caller feeds is a compatibility contract.
+/// [`Fnv::str`] hashes a length prefix so field boundaries cannot alias.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv {
+    hash: u64,
+    prime: u64,
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
 
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    const LEGACY_PRIME: u64 = 0x0000_1000_0000_01b3;
 
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
+    /// A fresh accumulator at the FNV offset basis.
+    #[inline]
+    pub fn new() -> Self {
+        Fnv {
+            hash: Self::OFFSET_BASIS,
+            prime: Self::PRIME,
         }
     }
 
-    fn str(&mut self, s: &str) {
+    /// An accumulator whose start is the offset basis XOR `seed`, so one
+    /// byte stream yields a different hash per seed.
+    #[inline]
+    pub fn seeded(seed: u64) -> Self {
+        Fnv {
+            hash: Self::OFFSET_BASIS ^ seed,
+            ..Fnv::new()
+        }
+    }
+
+    /// The same accumulator multiplying by `0x1000_0000_01b3` — the FNV
+    /// prime with one extra hex zero, still an odd multiplier — instead of
+    /// the FNV prime. The netlist and stimulus fingerprints, per-input
+    /// stimulus seeds and sweep point seeds were first computed with it;
+    /// they key memos and journals, so they keep it.
+    #[inline]
+    pub fn legacy_prime(self) -> Self {
+        Fnv {
+            prime: Self::LEGACY_PRIME,
+            ..self
+        }
+    }
+
+    /// Folds in raw bytes, with no length prefix.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(self.prime);
+        }
+    }
+
+    /// Folds in the 8 little-endian bytes of `v`.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Folds in the exact bit pattern of `v`.
+    #[inline]
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Folds in `s`'s length (as [`Fnv::u64`]) then its bytes.
+    #[inline]
+    pub fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.byte(b);
-        }
+        self.bytes(s.as_bytes());
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    /// The hash of everything folded in so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.hash
     }
 }
 

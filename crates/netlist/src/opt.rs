@@ -7,12 +7,16 @@
 //! selects, and removes logic that no primary output or register can
 //! observe. Since [`Netlist`] is append-only (ids are stable handles), the
 //! passes build a *new* netlist and return it together with statistics.
+//!
+//! Folding evaluates cells with [`eval_comb_cell`], the simulator's own
+//! word semantics, and liveness is [`crate::graph::live_cells`].
 
 use crate::builder::{BuildError, NetlistBuilder};
 use crate::cell::CellKind;
+use crate::eval::eval_comb_cell;
 use crate::id::{CellId, NetId};
 use crate::netlist::Netlist;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Statistics of one optimization run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,44 +90,12 @@ fn optimize_once(netlist: &Netlist) -> Result<(Netlist, OptStats), BuildError> {
             .map(|n| const_val.get(n).copied())
             .collect();
         if let Some(vals) = vals {
-            let folded = fold_cell(netlist, cid, &vals);
-            const_val.insert(cell.output(), folded);
+            const_val.insert(cell.output(), eval_comb_cell(netlist, cell, &vals));
         }
     }
 
     // --- Pass 2: liveness from primary outputs and sequential elements. --
-    let mut live_cells: HashSet<CellId> = HashSet::new();
-    let mut stack: Vec<NetId> = netlist.primary_outputs().to_vec();
-    // Registers and latches are observable state: their drivers are live,
-    // and they keep their fanin alive.
-    for (cid, cell) in netlist.cells() {
-        if cell.kind().is_stateful() {
-            live_cells.insert(cid);
-            stack.push(cell.output());
-            for &inp in cell.inputs() {
-                stack.push(inp);
-            }
-        }
-    }
-    let mut visited: HashSet<NetId> = HashSet::new();
-    while let Some(net) = stack.pop() {
-        if !visited.insert(net) {
-            continue;
-        }
-        if let Some(driver) = netlist.net(net).driver() {
-            if live_cells.insert(driver) {
-                for &inp in netlist.cell(driver).inputs() {
-                    stack.push(inp);
-                }
-            } else {
-                for &inp in netlist.cell(driver).inputs() {
-                    if !visited.contains(&inp) {
-                        stack.push(inp);
-                    }
-                }
-            }
-        }
-    }
+    let live_cells = crate::graph::live_cells(netlist);
 
     // --- Pass 3: rebuild. ------------------------------------------------
     let mut b = NetlistBuilder::new(netlist.name().to_string());
@@ -185,67 +157,6 @@ fn optimize_once(netlist: &Netlist) -> Result<(Netlist, OptStats), BuildError> {
     }
     let out = b.build()?;
     Ok((out, stats))
-}
-
-/// Evaluates a combinational cell on constant inputs (mirrors the
-/// simulator's semantics).
-fn fold_cell(netlist: &Netlist, cid: CellId, vals: &[u64]) -> u64 {
-    let cell = netlist.cell(cid);
-    let out_mask = netlist.net(cell.output()).mask();
-    let in_width = |i: usize| netlist.net(cell.inputs()[i]).width();
-    let full = |i: usize| {
-        let w = in_width(i);
-        if w == 64 {
-            u64::MAX
-        } else {
-            (1u64 << w) - 1
-        }
-    };
-    let raw = match cell.kind() {
-        CellKind::Add => vals[0].wrapping_add(vals[1]),
-        CellKind::Sub => vals[0].wrapping_sub(vals[1]),
-        CellKind::Mul => vals[0].wrapping_mul(vals[1]),
-        CellKind::Shl => {
-            if vals[1] >= 64 {
-                0
-            } else {
-                vals[0] << vals[1]
-            }
-        }
-        CellKind::Shr => {
-            if vals[1] >= 64 {
-                0
-            } else {
-                vals[0] >> vals[1]
-            }
-        }
-        CellKind::Lt => (vals[0] < vals[1]) as u64,
-        CellKind::Eq => (vals[0] == vals[1]) as u64,
-        CellKind::Mux => {
-            let n_data = vals.len() - 1;
-            vals[1 + (vals[0] as usize).min(n_data - 1)]
-        }
-        CellKind::And => vals.iter().copied().fold(u64::MAX, |a, b| a & b),
-        CellKind::Or => vals.iter().copied().fold(0, |a, b| a | b),
-        CellKind::Xor => vals.iter().copied().fold(0, |a, b| a ^ b),
-        CellKind::Not => !vals[0],
-        CellKind::Buf | CellKind::Zext => vals[0],
-        CellKind::RedOr => (vals[0] != 0) as u64,
-        CellKind::RedAnd => (vals[0] == full(0)) as u64,
-        CellKind::Const { value } => value,
-        CellKind::Slice { lo, hi } => {
-            (vals[0] >> lo) & (((1u128 << (hi - lo + 1)) - 1) as u64)
-        }
-        CellKind::Concat => {
-            let mut acc = 0u64;
-            for (i, &v) in vals.iter().enumerate() {
-                acc = (acc << in_width(i)) | v;
-            }
-            acc
-        }
-        CellKind::Reg { .. } | CellKind::Latch => unreachable!("stateful excluded"),
-    };
-    raw & out_mask
 }
 
 #[cfg(test)]

@@ -54,6 +54,7 @@ use oiso_core::{
     IsolationOutcome, IsolationStyle, RunBudget, StepTap,
 };
 use oiso_designs::{bundled, textfmt, Design};
+use oiso_netlist::Fnv;
 use oiso_lint::{lint_netlist, render_json as render_lint_json, LintOptions, Severity};
 use oiso_power::{total_area, PowerEstimator};
 use oiso_sim::{EngineKind, SimMemo};
@@ -271,25 +272,12 @@ pub fn parse_deadline(req: &Request) -> Result<Option<Duration>, ApiError> {
     }
 }
 
-/// Incremental FNV-1a over the request semantics (fingerprints, keys).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn eat_str(&mut self, s: &str) {
-        for b in s.bytes() {
-            self.eat(u64::from(b));
-        }
+/// Folds `s` into a request fingerprint one byte at a time, each byte
+/// widened to a full [`Fnv::u64`] word — the encoding every persisted
+/// cache key was computed with.
+fn eat_str(h: &mut Fnv, s: &str) {
+    for b in s.bytes() {
+        h.u64(u64::from(b));
     }
 }
 
@@ -323,17 +311,17 @@ impl ApiRequest {
     /// work to the same daemon.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
-        h.eat_str(self.endpoint.label());
-        h.eat(self.design.netlist.fingerprint());
-        h.eat(self.design.stimuli.fingerprint());
-        h.eat_str(style_name(self.style));
-        h.eat(self.cycles);
-        h.eat(u64::from(self.lookahead));
-        h.eat(self.budget as u64);
-        h.eat(self.seed.map_or(u64::MAX, |s| s));
+        eat_str(&mut h, self.endpoint.label());
+        h.u64(self.design.netlist.fingerprint());
+        h.u64(self.design.stimuli.fingerprint());
+        eat_str(&mut h, style_name(self.style));
+        h.u64(self.cycles);
+        h.u64(u64::from(self.lookahead));
+        h.u64(self.budget as u64);
+        h.u64(self.seed.map_or(u64::MAX, |s| s));
         // `engine` is deliberately absent: both engines produce the same
         // bytes, so a cached scalar result may answer a compiled request.
-        h.0
+        h.finish()
     }
 
     /// The result-cache key, or `None` when the response may depend on
@@ -689,11 +677,11 @@ impl BatchRequest {
     /// router sends a given batch to a stable shard.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
-        h.eat_str("batch");
+        eat_str(&mut h, "batch");
         for item in &self.items {
-            h.eat(item.as_ref().map(|r| r.fingerprint()).unwrap_or(0));
+            h.u64(item.as_ref().map(|r| r.fingerprint()).unwrap_or(0));
         }
-        h.0
+        h.finish()
     }
 }
 

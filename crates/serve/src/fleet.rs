@@ -48,6 +48,7 @@ use crate::api::DEADLINE_HEADER;
 use crate::error::ApiError;
 use crate::http::decode_chunked;
 use crate::shard::shard_of;
+use oiso_netlist::Fnv;
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -750,16 +751,10 @@ impl FleetClient {
 /// clients retrying the same downed shard do not re-arrive in lockstep,
 /// while the same test run always sleeps the same amounts.
 fn jitter(shard: usize, attempt: u32) -> Duration {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in (shard as u64)
-        .to_le_bytes()
-        .into_iter()
-        .chain(u64::from(attempt).to_le_bytes())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    Duration::from_millis(h % 25)
+    let mut h = Fnv::new();
+    h.u64(shard as u64);
+    h.u64(u64::from(attempt));
+    Duration::from_millis(h.finish() % 25)
 }
 
 /// Renders an [`ApiError::shard_unavailable`] as a [`ClientResponse`] —

@@ -37,6 +37,7 @@
 
 use crate::http::Response;
 use oiso_core::{escape_json, parse_flat, JsonScalar};
+use oiso_netlist::Fnv;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write as _};
@@ -89,18 +90,10 @@ pub struct CompactStats {
 /// The content checksum over an entry: FNV-1a of the key bytes then the
 /// body bytes. Stable across platforms and appended with every record.
 pub fn entry_checksum(key: u64, body: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for b in key.to_le_bytes() {
-        eat(b);
-    }
-    for b in body.bytes() {
-        eat(b);
-    }
-    h
+    let mut h = Fnv::new();
+    h.u64(key);
+    h.bytes(body.as_bytes());
+    h.finish()
 }
 
 /// The disk-backed result store: an in-memory index over append-only

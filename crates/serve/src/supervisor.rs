@@ -28,6 +28,7 @@
 //! `CARGO_BIN_EXE_oiso`; unit tests launch anything that exits).
 
 use crate::fleet::{raw_request, Client};
+use oiso_netlist::Fnv;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command};
@@ -450,16 +451,10 @@ fn record_failure(shard: &mut ShardState, index: usize, config: &SupervisorConfi
 /// 0..=100 ms) so N shards felled by one cause do not respawn in
 /// lockstep, while a given test run always waits the same amounts.
 fn restart_jitter(shard: usize, restarts: u64) -> Duration {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in (shard as u64)
-        .to_le_bytes()
-        .into_iter()
-        .chain(restarts.to_le_bytes())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    Duration::from_millis(h % 101)
+    let mut h = Fnv::new();
+    h.u64(shard as u64);
+    h.u64(restarts);
+    Duration::from_millis(h.finish() % 101)
 }
 
 /// One `GET /healthz` probe with tight timeouts.

@@ -13,8 +13,7 @@
 //! Registers and latches initialize to 0, the usual reset state of
 //! synthesized datapath blocks.
 
-use crate::eval::eval_comb_cell;
-use oiso_netlist::{comb_topo_order, CellId, CellKind, NetId, Netlist};
+use oiso_netlist::{comb_topo_order, eval_comb_cell, CellId, CellKind, NetId, Netlist};
 
 /// Which simulation engine executes a run.
 ///

@@ -44,7 +44,6 @@
 
 pub mod analytic;
 pub mod engine;
-pub mod eval;
 pub mod memo;
 pub mod replay;
 pub mod stats;

@@ -5,6 +5,7 @@
 //! activation signal". [`StimulusSpec::MarkovBits`] provides exactly that
 //! control knob; the other variants cover the usual datapath stimuli.
 
+use oiso_netlist::Fnv;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::error::Error;
@@ -98,14 +99,14 @@ impl StimulusSpec {
             StimulusSpec::Constant(v) => Ok(Box::new(ConstantStim(*v))),
             StimulusSpec::UniformRandom => Ok(Box::new(UniformStim {
                 rng: StdRng::seed_from_u64(seed),
-                mask: crate::eval::mask(width),
+                mask: oiso_netlist::net::mask(width),
             })),
             StimulusSpec::MarkovBits { p_one, toggle_rate } => {
                 Ok(Box::new(MarkovStim::new(width, *p_one, *toggle_rate, seed)?))
             }
             StimulusSpec::Counter { step } => Ok(Box::new(CounterStim {
                 step: *step,
-                mask: crate::eval::mask(width),
+                mask: oiso_netlist::net::mask(width),
             })),
             StimulusSpec::Trace(values) => {
                 if values.is_empty() {
@@ -272,12 +273,9 @@ impl StimulusPlan {
     /// Derives the deterministic per-input seed.
     pub fn seed_for(&self, input: &str) -> u64 {
         // FNV-1a over the name, mixed with the master seed.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed;
-        for byte in input.bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        let mut h = Fnv::seeded(self.seed).legacy_prime();
+        h.bytes(input.as_bytes());
+        h.finish()
     }
 
     /// Returns a copy of the plan with a different master seed.
@@ -295,45 +293,39 @@ impl StimulusPlan {
     /// FNV-1a over an explicit field encoding; stable across runs and
     /// platforms.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        eat(self.seed);
-        eat(self.drivers.len() as u64);
+        let mut h = Fnv::new().legacy_prime();
+        h.u64(self.seed);
+        h.u64(self.drivers.len() as u64);
         for (name, spec) in &self.drivers {
-            eat(name.len() as u64);
+            h.u64(name.len() as u64);
             for b in name.bytes() {
-                eat(b as u64);
+                h.u64(b as u64);
             }
             match spec {
                 StimulusSpec::Constant(v) => {
-                    eat(0);
-                    eat(*v);
+                    h.u64(0);
+                    h.u64(*v);
                 }
-                StimulusSpec::UniformRandom => eat(1),
+                StimulusSpec::UniformRandom => h.u64(1),
                 StimulusSpec::MarkovBits { p_one, toggle_rate } => {
-                    eat(2);
-                    eat(p_one.to_bits());
-                    eat(toggle_rate.to_bits());
+                    h.u64(2);
+                    h.f64(*p_one);
+                    h.f64(*toggle_rate);
                 }
                 StimulusSpec::Counter { step } => {
-                    eat(3);
-                    eat(*step);
+                    h.u64(3);
+                    h.u64(*step);
                 }
                 StimulusSpec::Trace(values) => {
-                    eat(4);
-                    eat(values.len() as u64);
+                    h.u64(4);
+                    h.u64(values.len() as u64);
                     for &v in values {
-                        eat(v);
+                        h.u64(v);
                     }
                 }
             }
         }
-        h
+        h.finish()
     }
 }
 

@@ -11,17 +11,18 @@
 //! not the tape's: both engines run through the same block-sliced
 //! [`Testbench`](crate::Testbench) loop.
 //!
-//! Semantics are bit-identical to the scalar [`Simulator`]
-//! (crate::Simulator) by construction: each op replicates one arm of
-//! [`eval_comb_cell`](crate::eval::eval_comb_cell) with its masks and
-//! widths baked in at compile time, and the rare n-ary shapes (wide
-//! And/Or/Xor, multi-way muxes, concatenations) fall back to the very same
-//! `eval_comb_cell` through a pre-resolved argument list. The differential
-//! suite (`tests/sim_engine_equivalence.rs`) enforces the equivalence.
+//! Semantics are bit-identical to the scalar
+//! [`Simulator`](crate::Simulator) by construction: each op replicates
+//! one arm of [`eval_comb_cell`] — the one word-level definition of each
+//! cell kind — with its masks and widths baked in at compile time, and
+//! the rare n-ary shapes (wide And/Or/Xor, multi-way muxes,
+//! concatenations) fall back to `eval_comb_cell` itself through a
+//! pre-resolved argument list. The differential suite
+//! (`tests/sim_engine_equivalence.rs`) enforces the equivalence.
 
 use crate::engine::SimBackend;
-use crate::eval::{eval_comb_cell, mask};
-use oiso_netlist::{comb_topo_order, CellId, CellKind, NetId, Netlist};
+use oiso_netlist::net::mask;
+use oiso_netlist::{comb_topo_order, eval_comb_cell, CellId, CellKind, NetId, Netlist};
 
 /// One straight-line operation: operands are `values` arena indices,
 /// `state` operands are [`CompiledSim::state`] slot indices, and masks are

@@ -22,6 +22,7 @@ use oiso_core::{
     JsonScalar, RunBudget,
 };
 use oiso_designs::random::{build_netlist, RandomParams};
+use oiso_netlist::Fnv;
 use oiso_par::{parallel_map_isolated, TaskOutcome};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
@@ -321,14 +322,11 @@ pub fn fuzz_config_fingerprint(config: &FuzzConfig) -> u64 {
             Sabotage::Negate => 2,
         },
     ];
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv::new();
     for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h.u64(w);
     }
-    h
+    h.finish()
 }
 
 /// The node budget actually applied to symbolic checks:

@@ -44,9 +44,9 @@ pub use symb::{
 };
 
 use oiso_boolex::BoolExpr;
-use oiso_core::{isolate_with_cache, IsolationStyle};
-use oiso_netlist::{transitive_fanout, BuildError, CellId, Netlist};
-use std::collections::{HashMap, HashSet};
+use oiso_core::{feedback_net, isolate_with_cache, IsolationStyle};
+use oiso_netlist::{BuildError, CellId, Netlist};
+use std::collections::HashMap;
 
 /// Tunables for [`verify`] / [`verify_isolation_plan`].
 #[derive(Debug, Clone)]
@@ -166,29 +166,6 @@ pub fn verify_with_stats(
     (outcome, stats)
 }
 
-/// True when isolating `candidate` under `activation` would close a
-/// combinational cycle: the activation logic reads a net that is itself
-/// combinationally downstream of the candidate's output (registers break
-/// the path; transparent latches do not). The isolation transform
-/// synthesizes `activation` into logic feeding the candidate's operand
-/// banks, so such an activation is structurally unrealizable.
-pub fn activation_closes_cycle(
-    netlist: &Netlist,
-    candidate: CellId,
-    activation: &BoolExpr,
-) -> bool {
-    let out = netlist.cell(candidate).output();
-    let cone: HashSet<_> = transitive_fanout(netlist, out, true)
-        .into_iter()
-        .filter(|&cid| !netlist.cell(cid).kind().is_register())
-        .map(|cid| netlist.cell(cid).output())
-        .collect();
-    activation
-        .support()
-        .iter()
-        .any(|sig| sig.net == out || cone.contains(&sig.net))
-}
-
 /// One verified step of an isolation plan.
 #[derive(Debug, Clone)]
 pub struct CandidateCheck {
@@ -211,7 +188,7 @@ pub struct CandidateCheck {
 /// isolation introduced it, and the pairwise equivalences chain
 /// transitively into `original ≡ final`. Steps whose activation is
 /// constant `TRUE` (vacuous — the banks would be transparent wires) or
-/// would close a combinational cycle (see [`activation_closes_cycle`],
+/// would close a combinational cycle (see [`oiso_core::feedback_net`],
 /// judged against the *evolving* netlist) are skipped, not applied.
 ///
 /// # Errors
@@ -240,7 +217,7 @@ pub fn verify_isolation_plan(
             });
             continue;
         }
-        if activation_closes_cycle(&work, *cid, activation) {
+        if feedback_net(&work, *cid, activation).is_some() {
             checks.push(CandidateCheck {
                 candidate,
                 style: *style,
@@ -369,26 +346,6 @@ mod tests {
         assert!(matches!(checks[0].outcome, VerifyOutcome::Skipped { .. }));
         assert!(matches!(checks[1].outcome, VerifyOutcome::Skipped { .. }));
         assert_eq!(out.fingerprint(), n.fingerprint(), "nothing applied");
-    }
-
-    #[test]
-    fn cycle_detection_sees_through_gates_but_not_registers() {
-        let n = gated_adder();
-        let add = n.find_cell("add").unwrap();
-        let q = n.find_net("q").unwrap();
-        // q is behind the register: reading it is fine.
-        assert!(!activation_closes_cycle(
-            &n,
-            add,
-            &BoolExpr::var(Signal::bit0(q))
-        ));
-        // s is the adder's own output: cycle.
-        let s = n.find_net("s").unwrap();
-        assert!(activation_closes_cycle(
-            &n,
-            add,
-            &BoolExpr::var(Signal::bit0(s))
-        ));
     }
 
     #[test]

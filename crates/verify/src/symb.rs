@@ -13,11 +13,13 @@
 //! cone contiguous in the order (`a0 b0 a1 b1 …`), which is linear-sized,
 //! whereas an `a…a b…b` order is exponential for adders.
 //!
-//! Cell semantics mirror `oiso_sim::eval` bit-exactly — any divergence
-//! between the symbolic and the concrete interpreter would make the
-//! differential replay backend disagree with the BDD verdict.
+//! Combinational cells are encoded by [`oiso_boolex::encode_cell`], the
+//! one BDD meaning of each cell kind, which is tested bit for bit against
+//! the word evaluator the simulators run — so the differential replay
+//! backend and the BDD verdict cannot disagree on a cell's semantics.
+//! Latches and cut points are this module's own.
 
-use oiso_boolex::{Bdd, BddRef, Signal};
+use oiso_boolex::{encode_cell, Bdd, BddRef, Signal};
 use oiso_netlist::{comb_topo_order, CellKind, NetId, Netlist};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -274,7 +276,7 @@ pub fn build_symbolic_bounded(
                 .map(|i| bdd.ite(en, ins[0][i], state[i]))
                 .collect()
         } else {
-            eval_symbolic(bdd, cell.kind(), &ins, out_net.width(), node_budget, deadline)?
+            encode(bdd, cell.kind(), &ins, out_net.width(), node_budget, deadline)?
         };
         bits[cell.output().index()] = out;
         // Register settled outputs as live roots: sifting's size metric
@@ -446,9 +448,9 @@ pub fn build_symbolic_with_cuts(
                 // Unmatched on the baseline side (or shape mismatch):
                 // evaluate concretely — abstracting without a counterpart
                 // to stay consistent with would gain nothing.
-                Some(_) => eval_symbolic(bdd, cell.kind(), &ins, w, node_budget, deadline)?,
+                Some(_) => encode(bdd, cell.kind(), &ins, w, node_budget, deadline)?,
                 None if baseline.is_some() => {
-                    eval_symbolic(bdd, cell.kind(), &ins, w, node_budget, deadline)?
+                    encode(bdd, cell.kind(), &ins, w, node_budget, deadline)?
                 }
                 // Baseline side: mint the cut.
                 None => {
@@ -470,7 +472,7 @@ pub fn build_symbolic_with_cuts(
                 }
             }
         } else {
-            eval_symbolic(bdd, cell.kind(), &ins, w, node_budget, deadline)?
+            encode(bdd, cell.kind(), &ins, w, node_budget, deadline)?
         };
         bits[cell.output().index()] = out;
         for &bit in &bits[cell.output().index()] {
@@ -485,39 +487,10 @@ pub fn build_symbolic_with_cuts(
     Ok((SymbolicNetlist { bits }, cuts))
 }
 
-/// `a + b + carry_in`, ripple-carry, truncated to `a.len()` bits.
-fn ripple_add(bdd: &mut Bdd, a: &[BddRef], b: &[BddRef], carry_in: BddRef) -> Vec<BddRef> {
-    let mut carry = carry_in;
-    let mut out = Vec::with_capacity(a.len());
-    for (&ai, &bi) in a.iter().zip(b) {
-        let axb = bdd.xor(ai, bi);
-        out.push(bdd.xor(axb, carry));
-        let ab = bdd.and(ai, bi);
-        let ac = bdd.and(axb, carry);
-        carry = bdd.or(ab, ac);
-    }
-    out
-}
-
-/// The condition `word == k` over `word`'s full bit vector.
-fn eq_const(bdd: &mut Bdd, word: &[BddRef], k: u64) -> BddRef {
-    if word.len() < 64 && (k >> word.len()) != 0 {
-        return BddRef::FALSE;
-    }
-    let mut acc = BddRef::TRUE;
-    for (j, &bit) in word.iter().enumerate() {
-        let lit = if (k >> j) & 1 == 1 {
-            bit
-        } else {
-            bdd.not(bit)
-        };
-        acc = bdd.and(acc, lit);
-    }
-    acc
-}
-
-/// Symbolic counterpart of `oiso_sim::eval::eval_comb_cell`.
-fn eval_symbolic(
+/// Encodes one combinational cell with the shared
+/// [`encode_cell`], polling the node budget and deadline between
+/// multiplier partial-product rows.
+fn encode(
     bdd: &mut Bdd,
     kind: CellKind,
     ins: &[Vec<BddRef>],
@@ -525,143 +498,12 @@ fn eval_symbolic(
     node_budget: usize,
     deadline: Option<Instant>,
 ) -> Result<Vec<BddRef>, BudgetExceeded> {
-    let w = out_width as usize;
-    Ok(match kind {
-        CellKind::Add => ripple_add(bdd, &ins[0], &ins[1], BddRef::FALSE),
-        CellKind::Sub => {
-            // a - b = a + !b + 1 (two's complement).
-            let nb: Vec<BddRef> = ins[1].iter().map(|&b| bdd.not(b)).collect();
-            ripple_add(bdd, &ins[0], &nb, BddRef::TRUE)
-        }
-        CellKind::Mul => {
-            // Shift-add over the multiplier bits, truncated to width. The
-            // only cell whose BDD is exponential in every variable order,
-            // so the budget is checked per partial-product row, not just
-            // per cell.
-            let mut acc = vec![BddRef::FALSE; w];
-            for i in 0..w {
-                let bi = ins[1][i];
-                let mut partial = vec![BddRef::FALSE; w];
-                for j in 0..w - i {
-                    partial[i + j] = bdd.and(ins[0][j], bi);
-                }
-                acc = ripple_add(bdd, &acc, &partial, BddRef::FALSE);
-                if bound_hit(bdd, node_budget, deadline) {
-                    return Err(BudgetExceeded {
-                        nodes: bdd.num_nodes(),
-                    });
-                }
-            }
-            acc
-        }
-        CellKind::Shl => (0..w)
-            .map(|i| {
-                let mut terms = Vec::new();
-                for k in 0..=i {
-                    let cond = eq_const(bdd, &ins[1], k as u64);
-                    terms.push(bdd.and(cond, ins[0][i - k]));
-                }
-                terms.into_iter().fold(BddRef::FALSE, |a, t| bdd.or(a, t))
-            })
-            .collect(),
-        CellKind::Shr => (0..w)
-            .map(|i| {
-                let mut terms = Vec::new();
-                for k in 0..w - i {
-                    let cond = eq_const(bdd, &ins[1], k as u64);
-                    terms.push(bdd.and(cond, ins[0][i + k]));
-                }
-                terms.into_iter().fold(BddRef::FALSE, |a, t| bdd.or(a, t))
-            })
-            .collect(),
-        CellKind::Lt => {
-            // LSB-to-MSB fold: lt = (!a·b) + (a ⊙ b)·lt_prev.
-            let mut lt = BddRef::FALSE;
-            for (&ai, &bi) in ins[0].iter().zip(&ins[1]) {
-                let na = bdd.not(ai);
-                let below = bdd.and(na, bi);
-                let x = bdd.xor(ai, bi);
-                let eq = bdd.not(x);
-                let hold = bdd.and(eq, lt);
-                lt = bdd.or(below, hold);
-            }
-            vec![lt]
-        }
-        CellKind::Eq => {
-            let mut acc = BddRef::TRUE;
-            for (&ai, &bi) in ins[0].iter().zip(&ins[1]) {
-                let x = bdd.xor(ai, bi);
-                let eq = bdd.not(x);
-                acc = bdd.and(acc, eq);
-            }
-            vec![acc]
-        }
-        CellKind::Mux => {
-            // sel clamps to the last data input, exactly like the concrete
-            // evaluator's `sel.min(n_data - 1)`.
-            let n_data = ins.len() - 1;
-            let mut conds: Vec<BddRef> = (0..n_data - 1)
-                .map(|v| eq_const(bdd, &ins[0], v as u64))
-                .collect();
-            let any = conds.iter().fold(BddRef::FALSE, |a, &c| bdd.or(a, c));
-            conds.push(bdd.not(any));
-            (0..w)
-                .map(|i| {
-                    let mut acc = BddRef::FALSE;
-                    for (v, &cond) in conds.iter().enumerate() {
-                        let t = bdd.and(cond, ins[1 + v][i]);
-                        acc = bdd.or(acc, t);
-                    }
-                    acc
-                })
-                .collect()
-        }
-        CellKind::And => (0..w)
-            .map(|i| ins.iter().fold(BddRef::TRUE, |a, inp| bdd.and(a, inp[i])))
-            .collect(),
-        CellKind::Or => (0..w)
-            .map(|i| ins.iter().fold(BddRef::FALSE, |a, inp| bdd.or(a, inp[i])))
-            .collect(),
-        CellKind::Xor => (0..w)
-            .map(|i| ins.iter().fold(BddRef::FALSE, |a, inp| bdd.xor(a, inp[i])))
-            .collect(),
-        CellKind::Not => ins[0].iter().map(|&b| bdd.not(b)).collect(),
-        CellKind::Buf => ins[0].clone(),
-        CellKind::RedOr => {
-            let any = ins[0].iter().fold(BddRef::FALSE, |a, &b| bdd.or(a, b));
-            vec![any]
-        }
-        CellKind::RedAnd => {
-            let all = ins[0].iter().fold(BddRef::TRUE, |a, &b| bdd.and(a, b));
-            vec![all]
-        }
-        CellKind::Const { value } => (0..w)
-            .map(|i| {
-                if (value >> i) & 1 == 1 {
-                    BddRef::TRUE
-                } else {
-                    BddRef::FALSE
-                }
-            })
-            .collect(),
-        CellKind::Slice { lo, .. } => (0..w).map(|i| ins[0][lo as usize + i]).collect(),
-        CellKind::Concat => {
-            // inputs[0] lands in the high bits (evaluator shifts left as it
-            // walks the list), so fill from the last input upwards.
-            let mut out = Vec::with_capacity(w);
-            for inp in ins.iter().rev() {
-                out.extend_from_slice(inp);
-            }
-            out
-        }
-        CellKind::Zext => {
-            let mut out = ins[0].clone();
-            out.resize(w, BddRef::FALSE);
-            out
-        }
-        CellKind::Reg { .. } | CellKind::Latch => {
-            unreachable!("stateful cell reached eval_symbolic")
-        }
+    let ins: Vec<&[BddRef]> = ins.iter().map(Vec::as_slice).collect();
+    encode_cell(bdd, kind, &ins, out_width as usize, |bdd| {
+        bound_hit(bdd, node_budget, deadline)
+    })
+    .ok_or_else(|| BudgetExceeded {
+        nodes: bdd.num_nodes(),
     })
 }
 
@@ -669,106 +511,6 @@ fn eval_symbolic(
 mod tests {
     use super::*;
     use oiso_netlist::NetlistBuilder;
-    use oiso_sim::replay::{replay_vector, VectorAssignment};
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-
-    fn mask(w: u8) -> u64 {
-        if w >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << w) - 1
-        }
-    }
-
-    /// Symbolic vs concrete evaluation of a single cell on random vectors —
-    /// the semantics contract with `oiso_sim::eval`.
-    fn check_cell(kind: CellKind, in_widths: &[u8], out_width: u8, seed: u64) {
-        let mut b = NetlistBuilder::new("dut");
-        let ins: Vec<NetId> = in_widths
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| b.input(format!("i{i}"), w))
-            .collect();
-        let o = b.wire("o", out_width);
-        b.cell("c", kind, &ins, o).unwrap();
-        b.mark_output(o);
-        let n = b.build().unwrap();
-
-        let table = VarTable::for_pair(&n, &n);
-        let mut bdd = Bdd::with_order(table.order());
-        let sym = build_symbolic(&mut bdd, &table, &n, 1 << 24).unwrap();
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..40 {
-            let vals: Vec<u64> = in_widths
-                .iter()
-                .map(|&w| rng.gen::<u64>() & mask(w))
-                .collect();
-            let v = VectorAssignment {
-                inputs: ins
-                    .iter()
-                    .zip(&vals)
-                    .map(|(&net, &val)| (n.net(net).name().to_string(), val))
-                    .collect(),
-                states: vec![],
-            };
-            let concrete = replay_vector(&n, &v).output("o").unwrap();
-            let assignment = |sig: Signal| {
-                let e = table.decode(sig);
-                let idx: usize = e.name[1..].parse().unwrap();
-                (vals[idx] >> e.bit) & 1 == 1
-            };
-            let symbolic = sym
-                .net_bits(o)
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (i, &bit)| {
-                    acc | ((bdd.eval(bit, &assignment) as u64) << i)
-                });
-            assert_eq!(symbolic, concrete, "{kind:?} on {vals:?}");
-        }
-    }
-
-    #[test]
-    fn arithmetic_matches_simulator() {
-        check_cell(CellKind::Add, &[6, 6], 6, 1);
-        check_cell(CellKind::Sub, &[6, 6], 6, 2);
-        check_cell(CellKind::Mul, &[5, 5], 5, 3);
-    }
-
-    #[test]
-    fn shifts_match_simulator() {
-        check_cell(CellKind::Shl, &[6, 3], 6, 4);
-        check_cell(CellKind::Shr, &[6, 3], 6, 5);
-        // Amount wider than needed: out-of-range amounts force 0.
-        check_cell(CellKind::Shl, &[4, 6], 4, 6);
-    }
-
-    #[test]
-    fn comparisons_match_simulator() {
-        check_cell(CellKind::Lt, &[6, 6], 1, 7);
-        check_cell(CellKind::Eq, &[6, 6], 1, 8);
-    }
-
-    #[test]
-    fn mux_clamp_matches_simulator() {
-        // 3 data inputs on a 2-bit select: sel = 3 clamps to input 2.
-        check_cell(CellKind::Mux, &[2, 4, 4, 4], 4, 9);
-        check_cell(CellKind::Mux, &[1, 5, 5], 5, 10);
-    }
-
-    #[test]
-    fn gates_and_wiring_match_simulator() {
-        check_cell(CellKind::And, &[4, 4, 4], 4, 11);
-        check_cell(CellKind::Or, &[4, 4], 4, 12);
-        check_cell(CellKind::Xor, &[4, 4], 4, 13);
-        check_cell(CellKind::Not, &[4], 4, 14);
-        check_cell(CellKind::RedOr, &[5], 1, 15);
-        check_cell(CellKind::RedAnd, &[5], 1, 16);
-        check_cell(CellKind::Slice { lo: 2, hi: 5 }, &[8], 4, 17);
-        check_cell(CellKind::Concat, &[3, 5], 8, 18);
-        check_cell(CellKind::Zext, &[4], 7, 19);
-    }
 
     #[test]
     fn budget_aborts_early() {
