@@ -80,7 +80,7 @@ pub(crate) type PairMemo = HashMap<(BddRef, u8), f64>;
 
 /// Every probability sub-result under one settled statistics snapshot:
 /// plain `Pr(f)` walks and pair-model walks alike. Sharing one across all
-/// queries of a snapshot is sound because the pass never reorders or
+/// queries of a snapshot is sound because the manager never reorders or
 /// collects nodes, so a node index names one function for the manager's
 /// whole life; a new snapshot needs a new memo.
 #[derive(Default)]
@@ -220,8 +220,8 @@ impl ExactPass {
             blown: false,
         };
         // The pass depends on its variable order (value/toggle pairs stay
-        // adjacent), so it never auto-reorders; the shared budget handle
-        // is the only ceiling.
+        // adjacent), which the manager keeps fixed; the shared budget
+        // handle is the only ceiling.
         pass.bdd.set_budget(budget.clone());
         // Register variables bit-sliced round-robin across the sources
         // (x[0], y[0], …, x[1], y[1], …) — the classic datapath ordering

@@ -1,20 +1,15 @@
 //! `verifybench` — equivalence-checker battery over the bundled designs.
 //!
 //! ```text
-//! verifybench [--budget N] [--threads T] [--json PATH] [--check]
+//! verifybench [--budget N] [--json PATH] [--check]
 //! ```
 //!
 //! For every bundled design, derives the activation functions, isolates
 //! every arithmetic candidate step by step (`verify_isolation_plan`), and
 //! records how the symbolic checker fared: how many steps were **proved**
-//! by BDD, how many fell back to **sampled** differential evidence, peak
-//! allocated / live node counts, sifting passes, and wall-clock.
-//!
-//! Unlike `CheckConfig::default()`, the battery runs with dynamic
-//! reordering *enabled* (`REORDER_THRESHOLD`): the bench is the place
-//! where the sifting path stays exercised and its counters tracked, even
-//! though the production default keeps it off (multiplier miters are
-//! exponential in every order, so sifting them is measured overhead).
+//! by BDD, how many fell back to **sampled** differential evidence, the
+//! peak allocated node count, and wall-clock. The checker runs with
+//! `CheckConfig::default()` except for the node budget.
 //!
 //! `--json PATH` writes the measurements as `BENCH_verify.json`, the
 //! artifact the `bdd-smoke` CI job and `DESIGN.md` §16 reference.
@@ -32,10 +27,6 @@ use std::time::Instant;
 /// proved exhaustively by BDD rather than fall back to sampling.
 const PROVED_GATE: f64 = 0.99;
 
-/// Auto-reorder trigger used for the battery (allocated-node count at
-/// which the manager sifts). Mirrors the threshold the engine tests use.
-const REORDER_THRESHOLD: usize = 100_000;
-
 /// Node budget for the battery. Larger than the CLI default (200k):
 /// the bench's job is to measure how far exhaustive proof reaches, so it
 /// gives the checker the headroom a nightly run can afford.
@@ -43,7 +34,6 @@ const DEFAULT_BUDGET: usize = 4_000_000;
 
 struct Args {
     budget: usize,
-    threads: usize,
     json: Option<String>,
     check: bool,
 }
@@ -51,7 +41,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         budget: DEFAULT_BUDGET,
-        threads: 1,
         json: None,
         check: false,
     };
@@ -62,16 +51,11 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--budget needs a value")?;
                 args.budget = v.parse().map_err(|e| format!("bad --budget: {e}"))?;
             }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                args.threads = v.parse().map_err(|e| format!("bad --threads: {e}"))?;
-            }
             "--json" => args.json = Some(it.next().ok_or("--json needs a path")?),
             "--check" => args.check = true,
             "--help" | "-h" => {
                 return Err(
-                    "usage: verifybench [--budget N] [--threads T] [--json PATH] [--check]"
-                        .to_string(),
+                    "usage: verifybench [--budget N] [--json PATH] [--check]".to_string(),
                 );
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -79,9 +63,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.budget == 0 {
         return Err("--budget must be positive".to_string());
-    }
-    if args.threads == 0 {
-        return Err("--threads must be positive".to_string());
     }
     Ok(args)
 }
@@ -93,9 +74,7 @@ struct Row {
     sampled: usize,
     skipped: usize,
     violations: usize,
-    reordered: usize,
     peak_nodes: usize,
-    live_nodes: usize,
     wall_ms: f64,
 }
 
@@ -114,8 +93,6 @@ fn run_design(name: &str, args: &Args) -> Row {
     let config = VerifyConfig {
         check: CheckConfig {
             node_budget: args.budget,
-            threads: args.threads,
-            reorder_threshold: Some(REORDER_THRESHOLD),
             ..CheckConfig::default()
         },
         ..VerifyConfig::default()
@@ -132,15 +109,11 @@ fn run_design(name: &str, args: &Args) -> Row {
         sampled: 0,
         skipped: 0,
         violations: 0,
-        reordered: 0,
         peak_nodes: 0,
-        live_nodes: 0,
         wall_ms,
     };
     for check in &checks {
-        row.reordered += check.stats.reordered;
         row.peak_nodes = row.peak_nodes.max(check.stats.peak_nodes);
-        row.live_nodes = row.live_nodes.max(check.stats.live_nodes);
         match &check.outcome {
             VerifyOutcome::Verified(Proof::Bdd { .. }) => row.proved += 1,
             VerifyOutcome::Verified(Proof::Sampled { .. }) => row.sampled += 1,
@@ -159,9 +132,7 @@ fn row_json(name: &str, row: &Row) -> Json {
         ("sampled", Json::int(row.sampled)),
         ("skipped", Json::int(row.skipped)),
         ("violations", Json::int(row.violations)),
-        ("reordered", Json::int(row.reordered)),
         ("peak_nodes", Json::int(row.peak_nodes)),
-        ("peak_live_nodes", Json::int(row.live_nodes)),
         ("wall_ms", Json::num(row.wall_ms)),
     ])
 }
@@ -175,24 +146,19 @@ fn main() -> ExitCode {
         }
     };
 
-    println!(
-        "== verify battery (budget {}, {} thread(s), reorder at {REORDER_THRESHOLD}) ==",
-        args.budget, args.threads
-    );
+    println!("== verify battery (budget {}) ==", args.budget);
     let mut rows = Vec::new();
     for &name in BUNDLED_NAMES {
         let row = run_design(name, &args);
         println!(
             "  {name:>9}: {} candidate(s): {} proved, {} sampled, {} skipped, \
-             {} violation(s); {} reorder(s), peak {} nodes ({} live); {:.1} ms",
+             {} violation(s); peak {} nodes; {:.1} ms",
             row.candidates,
             row.proved,
             row.sampled,
             row.skipped,
             row.violations,
-            row.reordered,
             row.peak_nodes,
-            row.live_nodes,
             row.wall_ms
         );
         rows.push((name, row));
@@ -207,11 +173,7 @@ fn main() -> ExitCode {
     } else {
         proved as f64 / checked as f64
     };
-    let total_reorders: usize = rows.iter().map(|(_, r)| r.reordered).sum();
-    println!(
-        "proved-by-BDD ratio: {ratio:.4} ({proved}/{checked} checked steps); \
-         {total_reorders} reorder(s) total"
-    );
+    println!("proved-by-BDD ratio: {ratio:.4} ({proved}/{checked} checked steps)");
 
     if let Some(path) = &args.json {
         let doc = Json::obj([
@@ -220,22 +182,20 @@ fn main() -> ExitCode {
                 Json::str(
                     "verify_isolation_plan over every arithmetic candidate of each bundled \
                      design (activations from derive_activation_functions, AND style); \
-                     symbolic check on oiso_boolex::Bdd with dynamic reordering enabled at \
-                     REORDER_THRESHOLD allocated nodes; proved = exhaustive BDD proof, \
-                     sampled = budget fallback to differential vectors; the check gate \
-                     requires proved/(proved+sampled+violations) >= proved_gate and zero \
-                     violations",
+                     symbolic check on oiso_boolex::Bdd over a fixed variable order with \
+                     CheckConfig::default() apart from node_budget, each miter XORed in \
+                     the check's own manager; peak_nodes = largest allocated table of any \
+                     step; proved = exhaustive BDD proof, sampled = budget fallback to \
+                     differential vectors; the check gate requires \
+                     proved/(proved+sampled+violations) >= proved_gate and zero violations",
                 ),
             ),
             ("node_budget", Json::int(args.budget)),
-            ("threads", Json::int(args.threads)),
-            ("reorder_threshold", Json::int(REORDER_THRESHOLD)),
             ("proved_gate", Json::num(PROVED_GATE)),
             ("proved", Json::int(proved)),
             ("sampled", Json::int(sampled)),
             ("violations", Json::int(violations)),
             ("proved_ratio", Json::num(ratio)),
-            ("total_reorders", Json::int(total_reorders)),
             ("designs", Json::Arr(rows.iter().map(|(n, r)| row_json(n, r)).collect())),
         ]);
         if let Err(e) = std::fs::write(path, doc.render()) {

@@ -9,14 +9,11 @@
 //!   O(1) bit flip, and a function and its complement share one node.
 //! * **Operation-keyed computed table**: one persistent memo shared by
 //!   every `and`/`xor`/`ite` call on the manager.
-//! * **Rudell sifting** ([`Bdd::reorder`]), optionally auto-triggered on
-//!   table-growth thresholds ([`ReorderPolicy::Auto`]). Reorders rewrite
-//!   nodes *in place*, so outstanding [`BddRef`] handles stay valid.
+//! * **A fixed variable order**: a variable's id is its level, assigned
+//!   at registration (or by [`Bdd::with_order`]) and never moved, and no
+//!   node is ever freed, so every [`BddRef`] stays valid.
 //! * **Quantification / compose / restrict**, **SAT-one / SAT-count**,
 //!   and exact signal-probability evaluation.
-//! * **Deterministic parallel apply** ([`Bdd::apply_batch`]): batches of
-//!   independent operations fan out over `oiso_par::parallel_map` with
-//!   bit-identical results at any thread count.
 //! * **[`NodeBudget`]**: one shared, atomically-debited allocation
 //!   budget handle that verify, lint, precheck, and activity can carry
 //!   through a whole run instead of each keeping a private ceiling.
@@ -25,36 +22,19 @@
 
 mod cells;
 mod manager;
-mod parallel;
 
 pub use cells::encode_cell;
 pub use manager::{Bdd, BddRef, ProbabilityMemo};
-pub use parallel::BddOp;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// When (if ever) a manager reorders itself.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ReorderPolicy {
-    /// Never reorder automatically; [`Bdd::reorder`] still works. The
-    /// default — callers whose algorithms depend on the variable order
-    /// (e.g. activity's value/toggle pairing) must keep this.
-    #[default]
-    Never,
-    /// Sift automatically once the allocated-node count reaches the
-    /// given threshold, then again at every doubling of the table size.
-    /// Checked only at public operation entry points.
-    Auto(usize),
-}
-
 /// A shared, thread-safe node-allocation budget.
 ///
 /// Cloning hands out another handle to the **same** counter, so one
-/// budget can be debited by several managers (and by parallel-apply
-/// workers) over a whole run. Operations never fail when the budget is
-/// exhausted — callers poll [`NodeBudget::exceeded`] at their own
-/// checkpoints (cooperative abort).
+/// budget can be debited by several managers over a whole run.
+/// Operations never fail when the budget is exhausted — callers poll
+/// [`NodeBudget::exceeded`] at their own checkpoints (cooperative abort).
 #[derive(Clone, Debug)]
 pub struct NodeBudget {
     inner: Arc<BudgetInner>,
@@ -86,18 +66,6 @@ impl NodeBudget {
     pub fn debit(&self, n: usize) {
         if n > 0 {
             self.inner.used.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Returns `n` previously debited allocations to the budget.
-    ///
-    /// Used by the manager when a reorder pass reclaims its own churn:
-    /// the budget tracks *net* allocation, so sifting that frees its
-    /// scratch nodes does not eat into the caller's allowance. Callers
-    /// must only credit what they have debited.
-    pub fn credit(&self, n: usize) {
-        if n > 0 {
-            self.inner.used.fetch_sub(n, Ordering::Relaxed);
         }
     }
 

@@ -10,8 +10,8 @@
 //!   cost of the activation logic can be approximated by the literal count
 //!   of the activation function, which by construction is given in factored
 //!   form"),
-//! * [`Bdd`]: the pipeline's one ROBDD engine (complement edges, sifting
-//!   reorder, shared [`NodeBudget`], deterministic parallel apply), used
+//! * [`Bdd`]: the pipeline's one ROBDD engine (complement edges, a fixed
+//!   variable order, shared [`NodeBudget`]), used
 //!   by the minimizer here and by equivalence checking, the static
 //!   precheck, and static activity downstream — including
 //!   [`encode_cell`], the one BDD encoding of every netlist cell kind,
@@ -49,7 +49,7 @@ pub mod expr;
 pub mod simplify;
 pub mod synth;
 
-pub use bdd::{encode_cell, Bdd, BddOp, BddRef, NodeBudget, ProbabilityMemo, ReorderPolicy};
+pub use bdd::{encode_cell, Bdd, BddRef, NodeBudget, ProbabilityMemo};
 pub use expr::{BoolExpr, Signal};
 pub use simplify::minimize;
 pub use synth::{synthesize_bdd_into, synthesize_into, synthesize_into_cached};

@@ -1,12 +1,10 @@
 //! Property battery for the BDD engine: truth-table oracle for
 //! evaluation, equivalence verdicts and probabilities, the least-model
-//! witness contract of `satisfy_one`, sifting invariants, parallel-apply
-//! determinism, complement-edge canonicity, and the hand-checked
-//! functions of the paper's examples.
+//! witness contract of `satisfy_one`, the fixed variable order,
+//! complement-edge canonicity, and the hand-checked functions of the
+//! paper's examples.
 
-use oiso_boolex::{
-    Bdd, BddOp, BddRef, BoolExpr, NodeBudget, ProbabilityMemo, ReorderPolicy, Signal,
-};
+use oiso_boolex::{Bdd, BddRef, BoolExpr, NodeBudget, ProbabilityMemo, Signal};
 use oiso_netlist::NetId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -196,115 +194,26 @@ fn complement_edge_canonicity() {
 }
 
 #[test]
-fn sifting_preserves_functions_and_never_exceeds_peak() {
-    let mut rng = StdRng::seed_from_u64(0x51F7);
-    for case in 0..25 {
-        let vars = 3 + case % 8;
-        let exprs: Vec<BoolExpr> =
-            (0..3).map(|_| random_expr(&mut rng, vars, 3)).collect();
-        let mut bdd = Bdd::new();
-        let roots: Vec<BddRef> =
-            exprs.iter().map(|e| bdd.from_expr(e)).collect();
-        for &r in &roots {
-            bdd.protect(r);
-        }
-        let live_before = bdd.live_nodes();
-        bdd.reorder();
-        assert_eq!(bdd.reorder_count(), 1);
-        assert!(
-            bdd.live_nodes() <= live_before,
-            "case {case}: live {} > pre-reorder peak {}",
-            bdd.live_nodes(),
-            live_before
-        );
-        // Handles survive the reorder with their functions intact.
-        for (expr, &r) in exprs.iter().zip(&roots) {
-            for bits in 0..(1u32 << vars) {
-                assert_eq!(
-                    bdd.eval(r, &assignment_fn(bits)),
-                    eval_expr(expr, bits),
-                    "case {case} function changed at {bits:#x}"
-                );
-            }
-        }
-        // The manager stays canonical after swaps: rebuilding an
-        // expression lands on the same handle.
-        for (expr, &r) in exprs.iter().zip(&roots) {
-            assert_eq!(bdd.from_expr(expr), r, "case {case} lost canonicity");
-        }
-    }
-}
-
-#[test]
-fn auto_reorder_triggers_on_growth() {
-    let mut bdd = Bdd::new();
-    bdd.set_reorder_policy(ReorderPolicy::Auto(32));
-    let mut rng = StdRng::seed_from_u64(0xA7);
-    let mut acc = bdd.from_expr(&random_expr(&mut rng, 10, 3));
+fn variable_order_is_fixed_at_registration() {
+    // `with_order` fixes the top levels; later signals append below them
+    // in registration order, and no operation ever moves a variable.
+    let mut bdd = Bdd::with_order([sig(3), sig(1)]);
+    let mut rng = StdRng::seed_from_u64(0xF1D);
+    let mut acc = bdd.from_expr(&random_expr(&mut rng, 6, 3));
+    let mut registered = bdd.order();
     for _ in 0..20 {
-        let f = bdd.from_expr(&random_expr(&mut rng, 10, 3));
+        let f = bdd.from_expr(&random_expr(&mut rng, 6, 3));
         acc = bdd.xor(acc, f);
+        let order = bdd.order();
+        assert_eq!(&order[..registered.len()], &registered[..], "a level moved");
+        registered = order;
     }
-    assert!(bdd.reorder_count() >= 1, "threshold never fired");
-}
-
-#[test]
-fn parallel_apply_is_thread_count_invariant() {
-    let build = |threads: usize| {
-        let mut rng = StdRng::seed_from_u64(0x9AB);
-        let mut bdd = Bdd::new();
-        let budget = NodeBudget::new(1_000_000);
-        bdd.set_budget(budget.clone());
-        let jobs: Vec<(BddOp, BddRef, BddRef)> = (0..12)
-            .map(|i| {
-                let a = bdd.from_expr(&random_expr(&mut rng, 9, 3));
-                let b = bdd.from_expr(&random_expr(&mut rng, 9, 3));
-                let op = match i % 3 {
-                    0 => BddOp::And,
-                    1 => BddOp::Or,
-                    _ => BddOp::Xor,
-                };
-                (op, a, b)
-            })
-            .collect();
-        let results = bdd.apply_batch(threads, &jobs);
-        (results, bdd.num_nodes(), budget.used())
-    };
-    let baseline = build(1);
-    for threads in [2, 4] {
-        assert_eq!(
-            build(threads),
-            baseline,
-            "apply_batch diverges at {threads} threads"
-        );
+    assert_eq!(&registered[..2], &[sig(3), sig(1)]);
+    for (level, &s) in registered.iter().enumerate() {
+        assert_eq!(bdd.var_order_index(s) as usize, level);
     }
-}
-
-#[test]
-fn parallel_apply_matches_serial_ops() {
-    let mut rng = StdRng::seed_from_u64(0x7E57);
-    let mut bdd = Bdd::new();
-    let jobs: Vec<(BddOp, BddRef, BddRef)> = (0..9)
-        .map(|i| {
-            let a = bdd.from_expr(&random_expr(&mut rng, 8, 3));
-            let b = bdd.from_expr(&random_expr(&mut rng, 8, 3));
-            let op = match i % 3 {
-                0 => BddOp::And,
-                1 => BddOp::Or,
-                _ => BddOp::Xor,
-            };
-            (op, a, b)
-        })
-        .collect();
-    let batched = bdd.apply_batch(4, &jobs);
-    for (&(op, a, b), &r) in jobs.iter().zip(&batched) {
-        let direct = match op {
-            BddOp::And => bdd.and(a, b),
-            BddOp::Or => bdd.or(a, b),
-            BddOp::Xor => bdd.xor(a, b),
-        };
-        assert_eq!(direct, r, "batched result disagrees with serial op");
-    }
+    assert_ne!(acc, BddRef::TRUE, "the xor chain stays a real function");
+    assert_eq!(bdd.peak_nodes(), bdd.num_nodes(), "the table never shrinks");
 }
 
 #[test]

@@ -141,11 +141,11 @@ pub struct IsolationConfig {
     pub static_precheck: bool,
     /// Rank surviving candidates by the static activity estimate
     /// `ĥ(c) = density(operands) × P(unobservable)` (see
-    /// [`crate::precheck::activity_rank`]) before scoring, so a binding
-    /// [`IsolationConfig::candidate_cap`] evaluates the statically most
-    /// promising candidates first. Ranking only *reorders* the list;
-    /// per-block winner selection breaks ties on cell identity, so with a
-    /// non-binding cap the accepted sequence is bit-identical to an
+    /// [`crate::precheck::activity_rank_with_budget`]) before scoring, so
+    /// a binding [`IsolationConfig::candidate_cap`] evaluates the
+    /// statically most promising candidates first. Ranking only *reorders*
+    /// the list; per-block winner selection breaks ties on cell identity,
+    /// so with a non-binding cap the accepted sequence is bit-identical to an
     /// unranked run at every thread count. For the same reason ranking is
     /// a no-op — the analysis is not even run — in any iteration where the
     /// cap cannot bind: `candidate_cap` is `None`, or no smaller than the

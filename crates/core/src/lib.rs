@@ -96,7 +96,7 @@ pub use fsm::{find_closed_fsms, refine_with_fsm_dont_cares, ClosedFsm};
 pub use muxfunc::multiplexing_functions;
 pub use oiso_boolex::NodeBudget;
 pub use precheck::{
-    activity_rank, constant_check, constant_check_with_budget, feedback_net, precheck_candidate,
+    constant_check, constant_check_with_budget, feedback_net, precheck_candidate,
     precheck_candidate_with_budget, ConstCheck, PrecheckVerdict, DEFAULT_PRECHECK_NODE_BUDGET,
 };
 pub use report::{IsolationOutcome, IterationLog, SkippedCandidate};

@@ -196,18 +196,10 @@ pub fn constant_check_with_budget(activation: &BoolExpr, budget: &NodeBudget) ->
 /// static estimate — good enough to *order* candidates so a binding
 /// candidate cap evaluates the most promising ones first, never to accept
 /// or reject them outright.
-pub fn activity_rank(
-    report: &ActivityReport,
-    netlist: &Netlist,
-    cell: CellId,
-    activation: &BoolExpr,
-    node_budget: usize,
-) -> f64 {
-    activity_rank_with_budget(report, netlist, cell, activation, &NodeBudget::new(node_budget))
-}
-
-/// [`activity_rank`] debiting a **shared** [`NodeBudget`] handle across a
-/// whole candidate list.
+///
+/// The activation's probability is derived on a BDD that debits the
+/// **shared** [`NodeBudget`] handle, so one budget covers a whole
+/// candidate list.
 pub fn activity_rank_with_budget(
     report: &ActivityReport,
     netlist: &Netlist,
@@ -219,7 +211,7 @@ pub fn activity_rank_with_budget(
     activity_rank_by(&mut report, netlist, cell, activation, budget)
 }
 
-/// The rank formula of [`activity_rank`] over any [`ActivityLookup`]:
+/// The rank formula of [`activity_rank_with_budget`] over any [`ActivityLookup`]:
 /// a full report, or an [`oiso_activity::ActivityModel`] that derives
 /// only the operand and activation-support nets asked for here. Both give
 /// the same rank bit for bit.

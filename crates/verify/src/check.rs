@@ -33,10 +33,14 @@
 //! exponential function. Only when that phase is inconclusive does the
 //! checker fall back to the monolithic miter over the real functions
 //! (which alone can produce counterexamples or exhaust the budget).
+//!
+//! Each phase builds both sides in one manager over a fixed variable
+//! order, so a miter is a plain `xor` of two handles in that manager:
+//! an observable bit whose two sides are the same node costs nothing.
 
 use crate::cex::{extract, Counterexample};
 use crate::symb::{build_symbolic_bounded, build_symbolic_with_cuts, SymbolicNetlist, VarTable};
-use oiso_boolex::{Bdd, BddOp, BddRef, BoolExpr, NodeBudget, ReorderPolicy};
+use oiso_boolex::{Bdd, BddRef, BoolExpr, NodeBudget};
 use oiso_netlist::{Cell, CellKind, Netlist};
 use std::time::Instant;
 
@@ -57,23 +61,6 @@ pub struct CheckConfig {
     /// degradation path as node exhaustion, so a run budget never turns a
     /// slow symbolic proof into a hang.
     pub deadline: Option<Instant>,
-    /// Optional **shared** allocation budget for a whole run: when set,
-    /// this check's allocations (including parallel-apply workers) are
-    /// debited against it instead of a fresh per-check counter, so a
-    /// plan- or fleet-level ceiling is spent once rather than per call.
-    /// `node_budget` still bounds this single check's manager.
-    pub shared_budget: Option<NodeBudget>,
-    /// Worker threads for the batched miter apply; results are
-    /// bit-identical for any value (1 = same path, serially).
-    pub threads: usize,
-    /// Auto-sifting threshold in allocated nodes (`None` disables):
-    /// above it the manager reorders itself, then again at each table
-    /// doubling. Reorders preserve every outstanding function handle.
-    /// Off by default: the cones that blow the budget here are
-    /// multiplier miters, which are exponential in *every* order, so
-    /// sifting them is measured pure overhead (`verifybench` runs with
-    /// it on to keep the path exercised and its counters tracked).
-    pub reorder_threshold: Option<usize>,
     /// Tries an *arithmetic cut-point* proof before the monolithic miter
     /// (default true). The pre/post netlists of an isolation step share
     /// every arithmetic cell by instance name, so each matched pair is
@@ -92,9 +79,6 @@ impl Default for CheckConfig {
             node_budget: 200_000,
             assumption: None,
             deadline: None,
-            shared_budget: None,
-            threads: 1,
-            reorder_threshold: None,
             arithmetic_cuts: true,
         }
     }
@@ -103,13 +87,11 @@ impl Default for CheckConfig {
 /// Engine counters from one equivalence check.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckStats {
-    /// Sifting passes the manager ran (auto-triggered).
+    /// Always 0: the manager's variable order is fixed, so it never
+    /// reorders. Kept because existing reports still read the field.
     pub reordered: usize,
     /// High-water mark of allocated nodes over the whole check.
     pub peak_nodes: usize,
-    /// Nodes still reachable from the checker's protected roots at the
-    /// end (the "peak live" size sifting minimizes).
-    pub live_nodes: usize,
 }
 
 /// Outcome of [`check_equivalence`].
@@ -216,7 +198,7 @@ pub fn check_equivalence(original: &Netlist, transformed: &Netlist, config: &Che
 }
 
 /// [`check_equivalence`] plus the engine counters ([`CheckStats`]) the
-/// run produced — reorder count and peak allocated/live node sizes.
+/// run produced — the peak allocated node count.
 pub fn check_equivalence_with_stats(
     original: &Netlist,
     transformed: &Netlist,
@@ -230,9 +212,7 @@ pub fn check_equivalence_with_stats(
         let mut table = VarTable::for_pair_with_cuts(original, transformed);
         let mut bdd = new_manager(&table, config);
         let verdict = run_abstract_check(&mut bdd, &mut table, original, transformed, config);
-        stats.reordered += bdd.reorder_count();
-        stats.peak_nodes = stats.peak_nodes.max(bdd.peak_nodes());
-        stats.live_nodes = bdd.live_nodes();
+        stats.peak_nodes = bdd.peak_nodes();
         if let Some(v) = verdict {
             return (v, stats);
         }
@@ -240,26 +220,14 @@ pub fn check_equivalence_with_stats(
     let table = VarTable::for_pair(original, transformed);
     let mut bdd = new_manager(&table, config);
     let verdict = run_check(&mut bdd, &table, original, transformed, config);
-    stats.reordered += bdd.reorder_count();
     stats.peak_nodes = stats.peak_nodes.max(bdd.peak_nodes());
-    stats.live_nodes = bdd.live_nodes();
     (verdict, stats)
 }
 
-/// A manager over `table`'s order with the config's budget and reorder
-/// policy applied. A `shared_budget` handle is passed through (so every
-/// phase of every check of a run debits one allowance); otherwise each
-/// manager gets a fresh per-check budget.
+/// A manager over `table`'s order with a fresh per-check node budget.
 fn new_manager(table: &VarTable, config: &CheckConfig) -> Bdd {
     let mut bdd = Bdd::with_order(table.order());
-    let budget = config
-        .shared_budget
-        .clone()
-        .unwrap_or_else(|| NodeBudget::new(config.node_budget));
-    bdd.set_budget(budget);
-    if let Some(threshold) = config.reorder_threshold {
-        bdd.set_reorder_policy(ReorderPolicy::Auto(threshold));
-    }
+    bdd.set_budget(NodeBudget::new(config.node_budget));
     bdd
 }
 
@@ -276,7 +244,8 @@ enum Compared {
 }
 
 /// Compares every primary-output bit and every next-state bit of the pair,
-/// in deterministic order. `assume` is conjoined into each miter.
+/// in deterministic order: each bit's miter is `assume · (o ⊕ t)`, built
+/// in place, and the first non-FALSE one is returned.
 #[allow(clippy::too_many_arguments)] // both netlists and both symbolic builds
 fn compare_observables(
     bdd: &mut Bdd,
@@ -291,17 +260,8 @@ fn compare_observables(
     let mut observables = 0usize;
     let mut check_bits =
         |bdd: &mut Bdd, o: &[BddRef], t: &[BddRef], label: &str| -> Option<Compared> {
-            // The per-bit difference functions are independent: fan them
-            // out as one deterministic parallel-apply batch, then conjoin
-            // with the assumption and test serially in bit order (so the
-            // first failing bit — and its witness — is thread-invariant).
-            let jobs: Vec<(BddOp, BddRef, BddRef)> = o
-                .iter()
-                .zip(t)
-                .map(|(&ob, &tb)| (BddOp::Xor, ob, tb))
-                .collect();
-            let diffs = bdd.apply_batch(config.threads, &jobs);
-            for (b, &diff) in diffs.iter().enumerate() {
+            for (b, (&ob, &tb)) in o.iter().zip(t).enumerate() {
+                let diff = bdd.xor(ob, tb);
                 let miter = bdd.and(assume, diff);
                 if miter != BddRef::FALSE {
                     return Some(Compared::Diff {
@@ -391,7 +351,6 @@ fn run_abstract_check(
         Some(expr) => expr_to_bdd(bdd, &sym_o, expr),
         None => BddRef::TRUE,
     };
-    bdd.protect(assume);
     match compare_observables(
         bdd,
         table,
@@ -427,7 +386,6 @@ fn run_check(
         Some(expr) => expr_to_bdd(bdd, &sym_o, expr),
         None => BddRef::TRUE,
     };
-    bdd.protect(assume);
     match compare_observables(
         bdd,
         table,
@@ -502,6 +460,33 @@ mod tests {
         let (n, _) = gated_adder();
         let v = check_equivalence(&n, &n, &CheckConfig::default());
         assert!(matches!(v, Verdict::Equivalent { observables: 12 }));
+    }
+
+    #[test]
+    fn budget_just_above_the_peak_suffices() {
+        // Miters are XORed in the check's own manager, so the budget is
+        // debited for table nodes only: a second run whose budget sits
+        // just above the first run's peak proves the same pair.
+        let (n, _) = gated_adder();
+        for arithmetic_cuts in [true, false] {
+            let generous = CheckConfig {
+                arithmetic_cuts,
+                ..CheckConfig::default()
+            };
+            let (v, stats) = check_equivalence_with_stats(&n, &n, &generous);
+            assert!(matches!(v, Verdict::Equivalent { observables: 12 }), "got {v:?}");
+            let tight = CheckConfig {
+                node_budget: stats.peak_nodes + 1,
+                ..generous
+            };
+            let (v, again) = check_equivalence_with_stats(&n, &n, &tight);
+            assert!(
+                matches!(v, Verdict::Equivalent { observables: 12 }),
+                "cuts {arithmetic_cuts}, budget {}: got {v:?}",
+                tight.node_budget
+            );
+            assert_eq!(again.peak_nodes, stats.peak_nodes);
+        }
     }
 
     #[test]

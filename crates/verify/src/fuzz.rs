@@ -38,8 +38,9 @@ use std::sync::Mutex;
 /// at every thread count.
 pub const FAULT_SITE_CASE: &str = "fuzz.case";
 
-/// Version tag of the fuzz journal format. v2 added the per-case
-/// `reordered` counter (BDD sifting passes).
+/// Version tag of the fuzz journal format. v2 case lines carried a
+/// `reordered` counter, which is no longer written; the reader ignores it,
+/// so journals that still have it resume unchanged.
 const FUZZ_JOURNAL_VERSION: u64 = 2;
 
 /// How (and whether) to corrupt activations before isolating.
@@ -130,8 +131,6 @@ pub struct CaseOutcome {
     pub bdd_proved: usize,
     /// Candidates validated by sampling only (BDD budget exceeded).
     pub sampled: usize,
-    /// BDD sifting passes triggered across the case's symbolic checks.
-    pub reordered: usize,
     /// Equivalence violations found.
     pub violations: Vec<Violation>,
     /// A structural transform failure, if one occurred (harness bug — the
@@ -279,7 +278,6 @@ pub fn run_case(config: &FuzzConfig, index: usize) -> CaseOutcome {
         Err(e) => outcome.transform_error = Some(e.to_string()),
         Ok((_, checks)) => {
             for check in checks {
-                outcome.reordered += check.stats.reordered;
                 match check.outcome {
                     VerifyOutcome::Verified(Proof::Bdd { .. }) => outcome.bdd_proved += 1,
                     VerifyOutcome::Verified(Proof::Sampled { .. }) => outcome.sampled += 1,
@@ -373,7 +371,6 @@ fn parse_case_line(raw: &str, line: usize) -> Result<CaseOutcome, CheckpointErro
         skipped: jint(&fields, "skipped", line)? as usize,
         bdd_proved: jint(&fields, "bdd_proved", line)? as usize,
         sampled: jint(&fields, "sampled", line)? as usize,
-        reordered: jint(&fields, "reordered", line)? as usize,
         violations: Vec::new(),
         transform_error: None,
         replayed: true,
@@ -473,8 +470,8 @@ impl FuzzJournal {
         let mut file = self.file.lock().expect("fuzz journal lock");
         writeln!(
             file,
-            "{{\"kind\":\"case\",\"index\":{},\"candidates\":{},\"skipped\":{},\"bdd_proved\":{},\"sampled\":{},\"reordered\":{}}}",
-            c.case_index, c.candidates, c.skipped, c.bdd_proved, c.sampled, c.reordered
+            "{{\"kind\":\"case\",\"index\":{},\"candidates\":{},\"skipped\":{},\"bdd_proved\":{},\"sampled\":{}}}",
+            c.case_index, c.candidates, c.skipped, c.bdd_proved, c.sampled
         )
         .map_err(io)?;
         file.flush().map_err(io)
@@ -516,11 +513,6 @@ impl FuzzReport {
     /// Candidates validated by sampling only.
     pub fn total_sampled(&self) -> usize {
         self.cases.iter().map(|c| c.sampled).sum()
-    }
-
-    /// BDD sifting passes triggered across all cases.
-    pub fn total_reordered(&self) -> usize {
-        self.cases.iter().map(|c| c.reordered).sum()
     }
 
     /// All violations, in case order.
@@ -755,6 +747,19 @@ mod tests {
         };
         let first = run_fuzz(&config).expect("checkpointed run");
         assert!(first.is_clean(), "{first:?}");
+        // Journals from before the `reordered` counter was dropped carry
+        // it on every case line; rewrite half the lines in that shape.
+        let text = std::fs::read_to_string(&path).expect("journal readable");
+        let mixed: String = text
+            .lines()
+            .enumerate()
+            .map(|(i, line)| match line.strip_suffix('}') {
+                Some(body) if i % 2 == 1 => format!("{body},\"reordered\":0}}\n"),
+                _ => format!("{line}\n"),
+            })
+            .collect();
+        assert!(mixed.contains("\"reordered\":0}"), "{mixed}");
+        std::fs::write(&path, mixed).expect("journal writable");
         let resumed = run_fuzz(&FuzzConfig {
             checkpoint: None,
             resume: Some(path.clone()),

@@ -125,9 +125,9 @@ pub fn verify(original: &Netlist, transformed: &Netlist, config: &VerifyConfig) 
     verify_with_stats(original, transformed, config).0
 }
 
-/// [`verify`] plus the symbolic engine's [`CheckStats`] — reorder count
-/// and peak allocated/live node sizes of the BDD phase (zeroed when the
-/// outcome never reached the symbolic checker).
+/// [`verify`] plus the symbolic engine's [`CheckStats`] — the peak
+/// allocated node count of the BDD phase (zeroed when the outcome never
+/// reached the symbolic checker).
 pub fn verify_with_stats(
     original: &Netlist,
     transformed: &Netlist,

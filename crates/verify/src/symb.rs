@@ -179,7 +179,7 @@ pub struct BudgetExceeded {
     pub nodes: usize,
 }
 
-/// True when either symbolic bound is blown: too many live BDD nodes, or
+/// True when either symbolic bound is blown: too many allocated BDD nodes, or
 /// the wall deadline has passed. Checked cooperatively — per combinational
 /// cell and per multiplier partial-product row.
 fn bound_hit(bdd: &Bdd, node_budget: usize, deadline: Option<Instant>) -> bool {
@@ -279,12 +279,6 @@ pub fn build_symbolic_bounded(
             encode(bdd, cell.kind(), &ins, out_net.width(), node_budget, deadline)?
         };
         bits[cell.output().index()] = out;
-        // Register settled outputs as live roots: sifting's size metric
-        // (and `live_nodes` reporting) must count every function the
-        // checker still holds a handle to.
-        for &bit in &bits[cell.output().index()] {
-            bdd.protect(bit);
-        }
         if bound_hit(bdd, node_budget, deadline) {
             return Err(BudgetExceeded {
                 nodes: bdd.num_nodes(),
@@ -475,9 +469,6 @@ pub fn build_symbolic_with_cuts(
             encode(bdd, cell.kind(), &ins, w, node_budget, deadline)?
         };
         bits[cell.output().index()] = out;
-        for &bit in &bits[cell.output().index()] {
-            bdd.protect(bit);
-        }
         if bound_hit(bdd, node_budget, deadline) {
             return Err(BudgetExceeded {
                 nodes: bdd.num_nodes(),

@@ -725,9 +725,7 @@ fn run() -> Result<(), String> {
             let mut violations = 0usize;
             let mut proved = 0usize;
             let mut sampled = 0usize;
-            let mut reordered = 0usize;
             for check in &checks {
-                reordered += check.stats.reordered;
                 match &check.outcome {
                     VerifyOutcome::Verified(Proof::Bdd { observables }) => {
                         proved += 1;
@@ -763,7 +761,7 @@ fn run() -> Result<(), String> {
             if violations > 0 {
                 return Err(format!("{violations} equivalence violation(s) found"));
             }
-            println!("  {proved} proved, {sampled} sampled, {reordered} reorder(s)");
+            println!("  {proved} proved, {sampled} sampled");
             println!("all candidates verified");
         }
         other => return Err(format!("unknown command `{other}` ({USAGE})")),
@@ -1080,12 +1078,11 @@ fn fuzz_command(opts: &Options) -> Result<(), String> {
         println!("  {} case(s) replayed from checkpoint", report.replayed);
     }
     println!(
-        "  {} candidate(s): {} proved, {} sampled, {} skipped, {} reorder(s)",
+        "  {} candidate(s): {} proved, {} sampled, {} skipped",
         report.total_candidates(),
         report.total_bdd_proved(),
         report.total_sampled(),
-        report.total_skipped(),
-        report.total_reordered()
+        report.total_skipped()
     );
     if report.truncated {
         println!(
