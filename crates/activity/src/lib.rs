@@ -43,7 +43,7 @@ use oiso_netlist::{CellId, CellKind, NetId, Netlist};
 use oiso_sim::analytic::{propagate, spec_stats, ActivityEstimate, BitStats};
 use oiso_sim::{StimulusPlan, StimulusSpec};
 use oiso_techlib::{OperatingConditions, TechLibrary, Time};
-use pair::{ExactPass, RegTier, SnapshotMemo, SourceBit};
+use pair::{ExactPass, RegTier, SnapshotMemo, SourceBit, SourceStats};
 use std::collections::{HashMap, HashSet};
 
 /// Default BDD node budget for the exact pass. The count is *allocated*
@@ -280,7 +280,7 @@ impl ActivityModel {
         }
         source_nets.sort_by_key(|n| n.index());
         source_nets.dedup();
-        let mut source_stats: HashMap<Signal, SourceBit> = HashMap::new();
+        let mut source_stats = SourceStats::default();
         for &net in &source_nets {
             for (bit, stats) in base.bits(net).iter().enumerate() {
                 source_stats.insert(
@@ -425,7 +425,7 @@ impl ActivityModel {
         //     statistics. The downstream functions reference only this
         //     single variable, so the operand cones never inflate their BDDs.
         let snapshot = pass.stats.clone();
-        let mut memo = pair::PairMemo::new();
+        let mut memo = pair::PairMemo::default();
         for &(net, w) in &pass.pseudo_words {
             let p_w = pair::pair_probability(&pass.bdd, w, &snapshot, &mut memo);
             pass.stats

@@ -18,7 +18,9 @@
 //! correlation (lag-one) are both handled exactly; only correlation
 //! *between* distinct source bits is assumed away.
 
-use oiso_boolex::{encode_cell, Bdd, BddRef, BoolExpr, NodeBudget, ProbabilityMemo, Signal};
+use oiso_boolex::{
+    encode_cell, Bdd, BddRef, BoolExpr, IntMap, NodeBudget, ProbabilityMemo, Signal,
+};
 use oiso_netlist::{Cell, CellKind, Netlist};
 use std::collections::HashMap;
 
@@ -76,7 +78,10 @@ impl SourceBit {
 
 /// Sub-results of [`pair_probability`] walks, keyed by node and pending
 /// value branch.
-pub(crate) type PairMemo = HashMap<(BddRef, u8), f64>;
+pub(crate) type PairMemo = IntMap<(BddRef, u8), f64>;
+
+/// Per-source-bit statistics of one snapshot, keyed by signal.
+pub(crate) type SourceStats = IntMap<Signal, SourceBit>;
 
 /// Every probability sub-result under one settled statistics snapshot:
 /// plain `Pr(f)` walks and pair-model walks alike. Sharing one across all
@@ -96,7 +101,7 @@ pub(crate) struct SnapshotMemo {
 pub(crate) fn pair_probability(
     bdd: &Bdd,
     f: BddRef,
-    stats: &HashMap<Signal, SourceBit>,
+    stats: &SourceStats,
     memo: &mut PairMemo,
 ) -> f64 {
     pair_prob_rec(bdd, f, None, stats, memo)
@@ -106,7 +111,7 @@ fn pair_prob_rec(
     bdd: &Bdd,
     f: BddRef,
     pending: Option<(Signal, bool)>,
-    stats: &HashMap<Signal, SourceBit>,
+    stats: &SourceStats,
     cache: &mut PairMemo,
 ) -> f64 {
     let Some((top, lo, hi)) = bdd.expand(f) else {
@@ -175,7 +180,7 @@ pub(crate) enum RegTier {
 /// reachable from the sources without crossing an unmodeled cell.
 pub(crate) struct ExactPass {
     pub bdd: Bdd,
-    pub stats: HashMap<Signal, SourceBit>,
+    pub stats: SourceStats,
     pub fns: Vec<Option<NetFns>>,
     pub reg_tiers: HashMap<oiso_netlist::NetId, RegTier>,
     /// Nets modeled as pseudo-sources (multiplier outputs): covered, but
@@ -206,7 +211,7 @@ impl ExactPass {
     /// net (primary inputs, register outputs, latch outputs).
     pub fn build(
         netlist: &Netlist,
-        source_stats: &HashMap<Signal, SourceBit>,
+        source_stats: &SourceStats,
         source_nets: &[oiso_netlist::NetId],
         budget: &NodeBudget,
     ) -> ExactPass {
@@ -550,7 +555,7 @@ pub(crate) fn expr_activity_with(
     budget: &NodeBudget,
 ) -> ExprActivity {
     let support: Vec<Signal> = expr.support().into_iter().collect();
-    let mut stats = HashMap::new();
+    let mut stats = SourceStats::default();
     for &sig in &support {
         let (p, d) = stats_of(sig);
         stats.insert(sig, SourceBit::clamped(p, d));
@@ -572,7 +577,7 @@ pub(crate) fn expr_activity_with(
     }
     let p = bdd.probability(cur, &|s| stats.get(&s).map_or(0.0, |b| b.p));
     let miter = bdd.xor(cur, nxt);
-    let d = pair_probability(&bdd, miter, &stats, &mut PairMemo::new());
+    let d = pair_probability(&bdd, miter, &stats, &mut PairMemo::default());
     ExprActivity { p, d, exact: true }
 }
 
@@ -617,7 +622,7 @@ fn build_expr(bdd: &mut Bdd, expr: &BoolExpr, next: bool) -> BddRef {
 /// output is — exact for a buffer, conservative for wide cones).
 fn algebraic_expr_activity(
     expr: &BoolExpr,
-    stats: &HashMap<Signal, SourceBit>,
+    stats: &SourceStats,
 ) -> ExprActivity {
     let p = tree_probability(expr, stats);
     // Support order, not map order: the product must not depend on the
@@ -630,7 +635,7 @@ fn algebraic_expr_activity(
     ExprActivity { p, d, exact: false }
 }
 
-fn tree_probability(expr: &BoolExpr, stats: &HashMap<Signal, SourceBit>) -> f64 {
+fn tree_probability(expr: &BoolExpr, stats: &SourceStats) -> f64 {
     match expr {
         BoolExpr::Const(b) => f64::from(u8::from(*b)),
         BoolExpr::Var(s) => stats.get(s).map_or(0.0, |b| b.p),

@@ -1,5 +1,5 @@
 //! The BDD manager: hash-consed unique table with complement edges and
-//! an operation-keyed computed table over a fixed variable order.
+//! a bounded, lossy computed cache over a fixed variable order.
 //!
 //! # Representation
 //!
@@ -12,6 +12,21 @@
 //! zero-cost bit flip and guarantees that a function and its complement
 //! never both occupy unique-table slots.
 //!
+//! # Tables
+//!
+//! The unique table is an open-addressed array of node indices, probed
+//! linearly from a multiply-mix of `(var, lo, hi)` and compared against
+//! the node array itself, so it stores no keys. Slot 0 means empty (the
+//! terminal is never hashed). It starts at 64 slots and doubles at ¾ load.
+//!
+//! The computed table is a direct-mapped cache of `(op, a, b, c) → r`
+//! entries, overwritten on collision. It grows with the unique table up
+//! to [`CACHE_MAX`] entries and never past it. Losing an entry cannot
+//! change a result or a node count: the nodes are canonical, so a
+//! recomputation rebuilds the same function through `mk` calls whose
+//! nodes all already sit in the unique table. Node indices, budget
+//! debits and `num_nodes` are therefore those of an unbounded memo.
+//!
 //! # Variable order
 //!
 //! A variable's id *is* its level: ids are handed out in registration
@@ -19,9 +34,9 @@
 //! never freed either, so every [`BddRef`] stays valid for the manager's
 //! lifetime and the table only grows.
 
+use super::hash::{mix3, IntMap};
 use super::NodeBudget;
 use crate::expr::{BoolExpr, Signal};
-use std::collections::HashMap;
 
 /// A handle to a BDD function: node index plus complement flag.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -68,7 +83,7 @@ impl BddRef {
 
 /// Sub-results of [`Bdd::probability_memo`], keyed by node.
 #[derive(Debug, Default)]
-pub struct ProbabilityMemo(HashMap<u32, f64>);
+pub struct ProbabilityMemo(IntMap<u32, f64>);
 
 #[derive(Clone, Copy, Debug)]
 struct Node {
@@ -79,9 +94,29 @@ struct Node {
     hi: BddRef,
 }
 
-const OP_AND: u8 = 0;
-const OP_XOR: u8 = 1;
-const OP_ITE: u8 = 2;
+/// Initial slot count of both tables: most managers (one per `minimize`
+/// call, per activation derivation, per precheck) stay tiny.
+const INITIAL_SLOTS: usize = 64;
+
+/// The computed cache's entry cap (4 MiB of entries).
+const CACHE_MAX: usize = 1 << 18;
+
+/// The third key word of AND and XOR entries. ITE entries carry their
+/// else-branch there instead, which is never a terminal once `ite` has
+/// routed its two-operand shapes to AND, so the three never collide.
+const OP_AND: u32 = 0;
+const OP_XOR: u32 = 1;
+
+/// One computed-cache entry. Every cached operation has a non-terminal
+/// first operand (`a ≥ 2`), so the all-zero entry is an empty slot that
+/// no lookup matches.
+#[derive(Clone, Copy, Default)]
+struct CacheEntry {
+    a: u32,
+    b: u32,
+    c: u32,
+    r: u32,
+}
 
 /// A reduced ordered BDD manager with complement edges.
 ///
@@ -103,13 +138,17 @@ const OP_ITE: u8 = 2;
 /// ```
 pub struct Bdd {
     nodes: Vec<Node>,
-    /// `(var, lo, hi)` → node index.
-    unique: HashMap<(u32, u32, u32), u32>,
-    /// Operation-keyed memo: `(op, a, b, c)` → result.
-    computed: HashMap<(u8, u32, u32, u32), u32>,
+    /// Open-addressed `(var, lo, hi)` → node index; 0 is an empty slot.
+    unique: Vec<u32>,
+    /// `64 − log2(unique.len())`: takes a key's hash to its home slot.
+    unique_shift: u32,
+    /// Direct-mapped, lossy `(op, a, b, c)` → result cache.
+    computed: Vec<CacheEntry>,
+    /// `64 − log2(computed.len())`.
+    computed_shift: u32,
     /// var id (= level) → signal.
     vars: Vec<Signal>,
-    var_index: HashMap<Signal, u32>,
+    var_index: IntMap<Signal, u32>,
     budget: Option<NodeBudget>,
 }
 
@@ -128,10 +167,12 @@ impl Bdd {
                 lo: BddRef::TRUE,
                 hi: BddRef::TRUE,
             }],
-            unique: HashMap::new(),
-            computed: HashMap::new(),
+            unique: vec![0; INITIAL_SLOTS],
+            unique_shift: shift_for(INITIAL_SLOTS),
+            computed: vec![CacheEntry::default(); INITIAL_SLOTS],
+            computed_shift: shift_for(INITIAL_SLOTS),
             vars: Vec::new(),
-            var_index: HashMap::new(),
+            var_index: IntMap::default(),
             budget: None,
         }
     }
@@ -223,17 +264,70 @@ impl Bdd {
 
     fn mk_raw(&mut self, var: u32, lo: BddRef, hi: BddRef) -> BddRef {
         debug_assert!(!hi.is_complemented(), "then-edge must be regular");
-        let key = (var, lo.raw(), hi.raw());
-        if let Some(&idx) = self.unique.get(&key) {
-            return BddRef(idx << 1);
+        let mask = self.unique.len() - 1;
+        let mut slot = (mix3(var, lo.raw(), hi.raw()) >> self.unique_shift) as usize;
+        loop {
+            let idx = self.unique[slot];
+            if idx == 0 {
+                break;
+            }
+            let node = &self.nodes[idx as usize];
+            if node.var == var && node.lo == lo && node.hi == hi {
+                return BddRef(idx << 1);
+            }
+            slot = (slot + 1) & mask;
         }
         let idx = self.nodes.len() as u32;
         self.nodes.push(Node { var, lo, hi });
         if let Some(b) = &self.budget {
             b.debit(1);
         }
-        self.unique.insert(key, idx);
+        self.unique[slot] = idx;
+        if 4 * idx as usize > 3 * self.unique.len() {
+            self.grow();
+        }
         BddRef(idx << 1)
+    }
+
+    /// Doubles the unique table, rehashing every node, and lets the
+    /// computed cache follow it up to [`CACHE_MAX`].
+    fn grow(&mut self) {
+        let slots = 2 * self.unique.len();
+        let shift = shift_for(slots);
+        let mut unique = vec![0u32; slots];
+        for (idx, node) in self.nodes.iter().enumerate().skip(1) {
+            let mut slot = (mix3(node.var, node.lo.raw(), node.hi.raw()) >> shift) as usize;
+            while unique[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            unique[slot] = idx as u32;
+        }
+        self.unique = unique;
+        self.unique_shift = shift;
+
+        let entries = slots.min(CACHE_MAX);
+        if entries > self.computed.len() {
+            let old = std::mem::replace(&mut self.computed, vec![CacheEntry::default(); entries]);
+            self.computed_shift = shift_for(entries);
+            for e in old.into_iter().filter(|e| e.a != 0) {
+                self.cache_put(e.a, e.b, e.c, e.r);
+            }
+        }
+    }
+
+    fn cache_slot(&self, a: u32, b: u32, c: u32) -> usize {
+        (mix3(a, b, c) >> self.computed_shift) as usize
+    }
+
+    fn cache_get(&self, a: u32, b: u32, c: u32) -> Option<u32> {
+        let e = self.computed[self.cache_slot(a, b, c)];
+        (e.a == a && e.b == b && e.c == c).then_some(e.r)
+    }
+
+    fn cache_put(&mut self, a: u32, b: u32, c: u32, r: u32) {
+        debug_assert!(a >= 2, "cached operands are non-terminal");
+        let slot = self.cache_slot(a, b, c);
+        self.computed[slot] = CacheEntry { a, b, c, r };
     }
 
     /// Cofactors of `r` with respect to `var` when `var` labels `r`'s
@@ -291,8 +385,7 @@ impl Bdd {
             return f;
         }
         let (a, b) = if f.raw() <= g.raw() { (f, g) } else { (g, f) };
-        let key = (OP_AND, a.raw(), b.raw(), 0);
-        if let Some(&r) = self.computed.get(&key) {
+        if let Some(r) = self.cache_get(a.raw(), b.raw(), OP_AND) {
             return BddRef::from_raw(r);
         }
         let v = self.top_level_var2(a, b);
@@ -301,7 +394,7 @@ impl Bdd {
         let lo = self.and(a0, b0);
         let hi = self.and(a1, b1);
         let r = self.mk(v, lo, hi);
-        self.computed.insert(key, r.raw());
+        self.cache_put(a.raw(), b.raw(), OP_AND, r.raw());
         r
     }
 
@@ -340,8 +433,7 @@ impl Bdd {
         if a.raw() > b.raw() {
             std::mem::swap(&mut a, &mut b);
         }
-        let key = (OP_XOR, a.raw(), b.raw(), 0);
-        if let Some(&r) = self.computed.get(&key) {
+        if let Some(r) = self.cache_get(a.raw(), b.raw(), OP_XOR) {
             return BddRef::from_raw(r ^ parity);
         }
         let v = self.top_level_var2(a, b);
@@ -350,7 +442,7 @@ impl Bdd {
         let lo = self.xor(a0, b0);
         let hi = self.xor(a1, b1);
         let r = self.mk(v, lo, hi);
-        self.computed.insert(key, r.raw());
+        self.cache_put(a.raw(), b.raw(), OP_XOR, r.raw());
         BddRef::from_raw(r.raw() ^ parity)
     }
 
@@ -410,8 +502,8 @@ impl Bdd {
             h = h.complement();
             parity = 1;
         }
-        let key = (OP_ITE, f.raw(), g.raw(), h.raw());
-        if let Some(&r) = self.computed.get(&key) {
+        debug_assert!(!h.is_terminal(), "ITE keys must not collide with AND/XOR tags");
+        if let Some(r) = self.cache_get(f.raw(), g.raw(), h.raw()) {
             return BddRef::from_raw(r ^ parity);
         }
         let v = self.top_level_var3(f, g, h);
@@ -421,7 +513,7 @@ impl Bdd {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let r = self.mk(v, lo, hi);
-        self.computed.insert(key, r.raw());
+        self.cache_put(f.raw(), g.raw(), h.raw(), r.raw());
         BddRef::from_raw(r.raw() ^ parity)
     }
 
@@ -546,126 +638,6 @@ impl Bdd {
         self.cofactors_at(f, var)
     }
 
-    /// Existential quantification: `∃ sig. f`.
-    pub fn exists(&mut self, f: BddRef, sig: Signal) -> BddRef {
-        let v = self.var_id(sig);
-        let mut cache = HashMap::new();
-        self.exists_rec(f, v, &mut cache)
-    }
-
-    /// Universal quantification: `∀ sig. f`.
-    pub fn forall(&mut self, f: BddRef, sig: Signal) -> BddRef {
-        self.exists(f.complement(), sig).complement()
-    }
-
-    fn exists_rec(
-        &mut self,
-        f: BddRef,
-        v: u32,
-        cache: &mut HashMap<u32, BddRef>,
-    ) -> BddRef {
-        if f.is_terminal() {
-            return f;
-        }
-        let node = self.node(f);
-        if node.var > v {
-            // Every node in f sits below v's level: v is not in f's support.
-            return f;
-        }
-        if let Some(&r) = cache.get(&f.raw()) {
-            return r;
-        }
-        let (f0, f1) = self.cofactors_at(f, node.var);
-        let r = if node.var == v {
-            self.and(f0.complement(), f1.complement()).complement()
-        } else {
-            let lo = self.exists_rec(f0, v, cache);
-            let hi = self.exists_rec(f1, v, cache);
-            self.mk(node.var, lo, hi)
-        };
-        cache.insert(f.raw(), r);
-        r
-    }
-
-    /// Functional composition: `f` with `sig` replaced by the function `g`.
-    pub fn compose(&mut self, f: BddRef, sig: Signal, g: BddRef) -> BddRef {
-        let v = self.var_id(sig);
-        let mut cache = HashMap::new();
-        self.compose_rec(f, v, g, &mut cache)
-    }
-
-    fn compose_rec(
-        &mut self,
-        f: BddRef,
-        v: u32,
-        g: BddRef,
-        cache: &mut HashMap<u32, BddRef>,
-    ) -> BddRef {
-        if f.is_terminal() {
-            return f;
-        }
-        let node = self.node(f);
-        if node.var > v {
-            return f;
-        }
-        if let Some(&r) = cache.get(&f.raw()) {
-            return r;
-        }
-        let (f0, f1) = self.cofactors_at(f, node.var);
-        let r = if node.var == v {
-            self.ite(g, f1, f0)
-        } else {
-            let lo = self.compose_rec(f0, v, g, cache);
-            let hi = self.compose_rec(f1, v, g, cache);
-            // g's support may sit above this node's level, so rebuild
-            // through ITE rather than mk.
-            let lit = self.mk(node.var, BddRef::FALSE, BddRef::TRUE);
-            self.ite(lit, hi, lo)
-        };
-        cache.insert(f.raw(), r);
-        r
-    }
-
-    /// Restriction: `f` with `sig` pinned to `value`, at any depth.
-    pub fn restrict(&mut self, f: BddRef, sig: Signal, value: bool) -> BddRef {
-        let v = self.var_id(sig);
-        let mut cache = HashMap::new();
-        self.restrict_rec(f, v, value, &mut cache)
-    }
-
-    fn restrict_rec(
-        &mut self,
-        f: BddRef,
-        v: u32,
-        value: bool,
-        cache: &mut HashMap<u32, BddRef>,
-    ) -> BddRef {
-        if f.is_terminal() {
-            return f;
-        }
-        let node = self.node(f);
-        if node.var > v {
-            return f;
-        }
-        if let Some(&r) = cache.get(&f.raw()) {
-            return r;
-        }
-        let (f0, f1) = self.cofactors_at(f, node.var);
-        let r = if node.var == v {
-            if value {
-                f1
-            } else {
-                f0
-            }
-        } else {
-            let lo = self.restrict_rec(f0, v, value, cache);
-            let hi = self.restrict_rec(f1, v, value, cache);
-            self.mk(node.var, lo, hi)
-        };
-        cache.insert(f.raw(), r);
-        r
-    }
-
     /// One satisfying assignment of `f`, or `None` if unsatisfiable.
     ///
     /// Deterministic low-branch-preferring walk: variables absent from
@@ -697,65 +669,6 @@ impl Bdd {
         }
         debug_assert_eq!(cur, BddRef::TRUE);
         Some(path)
-    }
-
-    /// Exact model count of `f` over all registered variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than 127 variables are registered (the count no
-    /// longer fits in `u128`).
-    pub fn sat_count(&self, f: BddRef) -> u128 {
-        let n = self.vars.len() as u32;
-        assert!(n <= 127, "sat_count supports at most 127 variables");
-        let mut cache = HashMap::new();
-        let top = if f.is_terminal() {
-            n
-        } else {
-            self.node(f).var
-        };
-        self.sat_adj(f, top, n, &mut cache) << top
-    }
-
-    /// Models of `f` over the variables at levels `[level, n)`, where
-    /// `level` is the level `f` is being viewed from.
-    fn sat_adj(
-        &self,
-        f: BddRef,
-        level: u32,
-        n: u32,
-        cache: &mut HashMap<u32, u128>,
-    ) -> u128 {
-        let full = 1u128 << (n - level);
-        if f == BddRef::TRUE {
-            return full;
-        }
-        if f == BddRef::FALSE {
-            return 0;
-        }
-        let node_level = self.node(f).var;
-        let scale = node_level - level;
-        let reg_count = self.sat_reg(f.regular(), n, cache);
-        let at_node = if f.is_complemented() {
-            (1u128 << (n - node_level)) - reg_count
-        } else {
-            reg_count
-        };
-        at_node << scale
-    }
-
-    fn sat_reg(&self, f: BddRef, n: u32, cache: &mut HashMap<u32, u128>) -> u128 {
-        debug_assert!(!f.is_complemented() && !f.is_terminal());
-        if let Some(&c) = cache.get(&f.raw()) {
-            return c;
-        }
-        let node = self.node(f);
-        let level = node.var;
-        let lo = self.sat_adj(node.lo, level + 1, n, cache);
-        let hi = self.sat_adj(node.hi, level + 1, n, cache);
-        let c = lo + hi;
-        cache.insert(f.raw(), c);
-        c
     }
 
     /// Evaluates `f` under a concrete assignment.
@@ -798,7 +711,7 @@ impl Bdd {
         &self,
         f: BddRef,
         prob: &impl Fn(Signal) -> f64,
-        cache: &mut HashMap<u32, f64>,
+        cache: &mut IntMap<u32, f64>,
     ) -> f64 {
         if f == BddRef::TRUE {
             return 1.0;
@@ -824,4 +737,10 @@ impl Bdd {
             p
         }
     }
+}
+
+/// The hash shift that maps a 64-bit mix onto `slots` (a power of two).
+fn shift_for(slots: usize) -> u32 {
+    debug_assert!(slots.is_power_of_two());
+    64 - slots.trailing_zeros()
 }

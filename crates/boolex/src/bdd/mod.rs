@@ -5,25 +5,30 @@
 //! equivalence checker, the static precheck, and static activity. It
 //! provides:
 //!
-//! * **Complement edges** on a hash-consed unique table: negation is an
-//!   O(1) bit flip, and a function and its complement share one node.
-//! * **Operation-keyed computed table**: one persistent memo shared by
-//!   every `and`/`xor`/`ite` call on the manager.
+//! * **Complement edges** on a hash-consed, open-addressed unique table:
+//!   negation is an O(1) bit flip, and a function and its complement
+//!   share one node.
+//! * **A bounded, lossy computed cache** shared by every
+//!   `and`/`xor`/`ite` call on the manager: direct-mapped, overwritten on
+//!   collision and capped in size, which canonicity makes invisible in
+//!   every result and node count.
 //! * **A fixed variable order**: a variable's id is its level, assigned
 //!   at registration (or by [`Bdd::with_order`]) and never moved, and no
 //!   node is ever freed, so every [`BddRef`] stays valid.
-//! * **Quantification / compose / restrict**, **SAT-one / SAT-count**,
-//!   and exact signal-probability evaluation.
+//! * **SAT-one witnesses** and exact signal-probability evaluation.
 //! * **[`NodeBudget`]**: one shared, atomically-debited allocation
-//!   budget handle that verify, lint, precheck, and activity can carry
-//!   through a whole run instead of each keeping a private ceiling.
+//!   budget handle that the precheck and activity can carry through a
+//!   whole run instead of each keeping a private ceiling.
 //! * **[`encode_cell`]**: the one BDD meaning of every netlist cell kind,
 //!   shared by the equivalence checker and static activity.
+//! * **[`IntMap`]**: the multiply-rotate hashed map for node-keyed memos.
 
 mod cells;
+mod hash;
 mod manager;
 
 pub use cells::encode_cell;
+pub use hash::{IntHasher, IntMap};
 pub use manager::{Bdd, BddRef, ProbabilityMemo};
 
 use std::sync::atomic::{AtomicUsize, Ordering};

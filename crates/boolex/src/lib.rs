@@ -49,7 +49,7 @@ pub mod expr;
 pub mod simplify;
 pub mod synth;
 
-pub use bdd::{encode_cell, Bdd, BddRef, NodeBudget, ProbabilityMemo};
+pub use bdd::{encode_cell, Bdd, BddRef, IntHasher, IntMap, NodeBudget, ProbabilityMemo};
 pub use expr::{BoolExpr, Signal};
 pub use simplify::minimize;
 pub use synth::{synthesize_bdd_into, synthesize_into, synthesize_into_cached};

@@ -1,8 +1,8 @@
 //! Property battery for the BDD engine: truth-table oracle for
 //! evaluation, equivalence verdicts and probabilities, the least-model
 //! witness contract of `satisfy_one`, the fixed variable order,
-//! complement-edge canonicity, and the hand-checked functions of the
-//! paper's examples.
+//! complement-edge canonicity, unique-table growth and computed-cache
+//! eviction, and the hand-checked functions of the paper's examples.
 
 use oiso_boolex::{Bdd, BddRef, BoolExpr, NodeBudget, ProbabilityMemo, Signal};
 use oiso_netlist::NetId;
@@ -217,28 +217,6 @@ fn variable_order_is_fixed_at_registration() {
 }
 
 #[test]
-fn sat_count_matches_truth_table() {
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    for case in 0..40 {
-        let vars = 2 + case % 10;
-        let expr = random_expr(&mut rng, vars, 3);
-        // Register every variable so the model count ranges over all
-        // `vars` inputs even when the expression's support is smaller.
-        let mut bdd = Bdd::with_order((0..vars).map(sig));
-        let f = bdd.from_expr(&expr);
-        let expected = (0..(1u32 << vars))
-            .filter(|&bits| eval_expr(&expr, bits))
-            .count() as u128;
-        assert_eq!(bdd.sat_count(f), expected, "case {case}");
-        assert_eq!(
-            bdd.sat_count(f.complement()),
-            (1u128 << vars) - expected,
-            "complement count, case {case}"
-        );
-    }
-}
-
-#[test]
 fn satisfy_one_returns_a_model() {
     let mut rng = StdRng::seed_from_u64(0x10DE1);
     for case in 0..40 {
@@ -261,30 +239,138 @@ fn satisfy_one_returns_a_model() {
     }
 }
 
+/// A `2^vars`-bit truth table, one bit per assignment (bit `i` of the
+/// assignment is `sig(i)`).
+#[derive(Clone, PartialEq, Debug)]
+struct Table(Vec<u64>);
+
+impl Table {
+    fn of_expr(expr: &BoolExpr, vars: usize) -> Table {
+        let mut words = vec![0u64; (1usize << vars).div_ceil(64)];
+        for bits in 0..(1u32 << vars) {
+            if eval_expr(expr, bits) {
+                words[bits as usize / 64] |= 1 << (bits % 64);
+            }
+        }
+        Table(words)
+    }
+
+    fn zip(&self, other: &Table, op: impl Fn(u64, u64) -> u64) -> Table {
+        Table(self.0.iter().zip(&other.0).map(|(&a, &b)| op(a, b)).collect())
+    }
+
+    fn ite(&self, g: &Table, h: &Table) -> Table {
+        Table((0..self.0.len()).map(|i| self.0[i] & g.0[i] | !self.0[i] & h.0[i]).collect())
+    }
+
+    fn get(&self, bits: u32) -> bool {
+        self.0[bits as usize / 64] >> (bits % 64) & 1 == 1
+    }
+}
+
+/// One deterministic sequence of `from_expr`/`and`/`xor`/`ite` calls over
+/// `vars` variables, returning every result beside its truth table.
+fn op_sequence(bdd: &mut Bdd, vars: usize, steps: usize) -> Vec<(BddRef, Table)> {
+    let mut rng = StdRng::seed_from_u64(0x6E0);
+    let mut out: Vec<(BddRef, Table)> = Vec::new();
+    for step in 0..steps {
+        let e = random_expr(&mut rng, vars, 3);
+        let f = (bdd.from_expr(&e), Table::of_expr(&e, vars));
+        let next = if step < 2 {
+            f
+        } else {
+            let a = out[rng.gen_range(0..out.len())].clone();
+            let b = out[rng.gen_range(0..out.len())].clone();
+            match step % 3 {
+                0 => (bdd.and(a.0, f.0), a.1.zip(&f.1, |x, y| x & y)),
+                1 => (bdd.xor(a.0, f.0), a.1.zip(&f.1, |x, y| x ^ y)),
+                _ => (bdd.ite(f.0, a.0, b.0), f.1.ite(&a.1, &b.1)),
+            }
+        };
+        out.push(next);
+    }
+    out
+}
+
 #[test]
-fn quantification_compose_restrict_semantics() {
-    let mut rng = StdRng::seed_from_u64(0xE715);
-    for case in 0..30 {
-        let vars = 3 + case % 6;
-        let expr = random_expr(&mut rng, vars, 3);
-        let g_expr = random_expr(&mut rng, vars, 2);
-        let v = sig(case % vars);
-        let mut bdd = Bdd::new();
-        let f = bdd.from_expr(&expr);
-        let g = bdd.from_expr(&g_expr);
+fn unique_table_growth_keeps_every_function_and_node_count() {
+    // Both tables start at 64 slots and the unique table doubles at 3/4
+    // load, so more than 1536 stored nodes means at least six doublings
+    // (64 -> 4096 slots), each of which rehashes every node.
+    const VARS: usize = 12;
+    let mut bdd = Bdd::new();
+    let roots = op_sequence(&mut bdd, VARS, 400);
+    assert!(bdd.num_nodes() > 1 + 1536, "only {} nodes", bdd.num_nodes());
+    for (i, (f, table)) in roots.iter().enumerate() {
+        for bits in 0..(1u32 << VARS) {
+            assert_eq!(
+                bdd.eval(*f, &assignment_fn(bits)),
+                table.get(bits),
+                "root {i} assignment {bits:#x}"
+            );
+        }
+    }
+    // A second manager fed the same sequence allocates the same nodes and
+    // hands out the same edges.
+    let mut again = Bdd::new();
+    let replay = op_sequence(&mut again, VARS, 400);
+    assert_eq!(again.num_nodes(), bdd.num_nodes());
+    assert!(roots.iter().zip(&replay).all(|(a, b)| a.0 == b.0));
+    // After growth every old node is still found: rebuilding allocates
+    // nothing.
+    let nodes = bdd.num_nodes();
+    let rebuilt = op_sequence(&mut bdd, VARS, 400);
+    assert!(roots.iter().zip(&rebuilt).all(|(a, b)| a.0 == b.0));
+    assert_eq!(bdd.num_nodes(), nodes);
+}
 
-        let r0 = bdd.restrict(f, v, false);
-        let r1 = bdd.restrict(f, v, true);
-        let ex = bdd.exists(f, v);
-        let fa = bdd.forall(f, v);
-        let or = bdd.or(r0, r1);
-        let and = bdd.and(r0, r1);
-        assert_eq!(ex, or, "exists != r0|r1, case {case}");
-        assert_eq!(fa, and, "forall != r0&r1, case {case}");
+/// Every product bit of an `n × n` shift-add multiplier with the operand
+/// words ordered one after the other (a[0..n], then b[0..n]): an order in
+/// which the middle bits blow up, so the build hits the computed cache
+/// with far more distinct keys than it holds.
+fn multiplier_bits(bdd: &mut Bdd, n: usize) -> Vec<BddRef> {
+    let a: Vec<BddRef> = (0..n).map(|i| bdd.literal(sig(i))).collect();
+    let b: Vec<BddRef> = (0..n).map(|i| bdd.literal(sig(n + i))).collect();
+    let mut acc = vec![BddRef::FALSE; 2 * n];
+    for (j, &bj) in b.iter().enumerate() {
+        let mut carry = BddRef::FALSE;
+        for k in j..2 * n {
+            let pp = if k - j < n { bdd.and(a[k - j], bj) } else { BddRef::FALSE };
+            let half = bdd.xor(acc[k], pp);
+            let sum = bdd.xor(half, carry);
+            carry = bdd.ite(half, carry, acc[k]);
+            acc[k] = sum;
+        }
+    }
+    acc
+}
 
-        let composed = bdd.compose(f, v, g);
-        let expected = bdd.ite(g, r1, r0);
-        assert_eq!(composed, expected, "compose != ite(g,f1,f0), case {case}");
+#[test]
+fn cache_eviction_never_changes_a_result_or_a_node_count() {
+    // The computed cache holds at most 2^18 entries. Every node an
+    // operation allocates is the result of at least one distinct cached
+    // key, so a build that allocates more nodes than that has overflowed
+    // the cache and evicted entries. Replaying it on the same manager then
+    // recomputes the lost entries, which must find every node already in
+    // the unique table.
+    const CACHE_MAX: usize = 1 << 18;
+    const N: usize = 10;
+    let mut bdd = Bdd::new();
+    let first = multiplier_bits(&mut bdd, N);
+    let nodes = bdd.num_nodes();
+    assert!(nodes > 1 + 2 * N + CACHE_MAX, "only {nodes} nodes");
+    let second = multiplier_bits(&mut bdd, N);
+    assert_eq!(first, second);
+    assert_eq!(bdd.num_nodes(), nodes);
+    // Spot-check the product against integer multiplication.
+    let mut rng = StdRng::seed_from_u64(0x3C7);
+    for _ in 0..200 {
+        let (x, y) = (rng.gen_range(0..1u32 << N), rng.gen_range(0..1u32 << N));
+        let bits = x | y << N;
+        let got = (0..2 * N)
+            .filter(|&k| bdd.eval(first[k], &assignment_fn(bits)))
+            .fold(0u32, |p, k| p | 1 << k);
+        assert_eq!(got, x * y, "{x} * {y}");
     }
 }
 

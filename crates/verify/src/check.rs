@@ -40,7 +40,7 @@
 
 use crate::cex::{extract, Counterexample};
 use crate::symb::{build_symbolic_bounded, build_symbolic_with_cuts, SymbolicNetlist, VarTable};
-use oiso_boolex::{Bdd, BddRef, BoolExpr, NodeBudget};
+use oiso_boolex::{Bdd, BddRef, BoolExpr};
 use oiso_netlist::{Cell, CellKind, Netlist};
 use std::time::Instant;
 
@@ -210,7 +210,7 @@ pub fn check_equivalence_with_stats(
         .any(|(_, cell)| cell.kind().is_arithmetic());
     if config.arithmetic_cuts && has_arithmetic {
         let mut table = VarTable::for_pair_with_cuts(original, transformed);
-        let mut bdd = new_manager(&table, config);
+        let mut bdd = Bdd::with_order(table.order());
         let verdict = run_abstract_check(&mut bdd, &mut table, original, transformed, config);
         stats.peak_nodes = bdd.peak_nodes();
         if let Some(v) = verdict {
@@ -218,17 +218,10 @@ pub fn check_equivalence_with_stats(
         }
     }
     let table = VarTable::for_pair(original, transformed);
-    let mut bdd = new_manager(&table, config);
+    let mut bdd = Bdd::with_order(table.order());
     let verdict = run_check(&mut bdd, &table, original, transformed, config);
     stats.peak_nodes = stats.peak_nodes.max(bdd.peak_nodes());
     (verdict, stats)
-}
-
-/// A manager over `table`'s order with a fresh per-check node budget.
-fn new_manager(table: &VarTable, config: &CheckConfig) -> Bdd {
-    let mut bdd = Bdd::with_order(table.order());
-    bdd.set_budget(NodeBudget::new(config.node_budget));
-    bdd
 }
 
 /// Outcome of comparing every observable bit of a pair of symbolic builds.
@@ -271,7 +264,7 @@ fn compare_observables(
                 }
                 observables += 1;
                 let late = config.deadline.is_some_and(|d| Instant::now() >= d);
-                if bdd.num_nodes() > config.node_budget || bdd.budget_exceeded() || late {
+                if bdd.num_nodes() > config.node_budget || late {
                     return Some(Compared::Budget {
                         nodes: bdd.num_nodes(),
                     });

@@ -183,9 +183,7 @@ pub struct BudgetExceeded {
 /// the wall deadline has passed. Checked cooperatively — per combinational
 /// cell and per multiplier partial-product row.
 fn bound_hit(bdd: &Bdd, node_budget: usize, deadline: Option<Instant>) -> bool {
-    bdd.num_nodes() > node_budget
-        || bdd.budget_exceeded()
-        || deadline.is_some_and(|d| Instant::now() >= d)
+    bdd.num_nodes() > node_budget || deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// Per-net-bit BDDs of one netlist's settled (post-`settle()`) values.
