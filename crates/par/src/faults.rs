@@ -3,11 +3,11 @@
 //! Production call sites name a *site* (a short static string like
 //! `"optimize.score"`) and call [`trip`] with a stable per-item key; tests
 //! and the CLI arm faults at `(site, key)` pairs with [`inject`] (or at a
-//! whole site with [`inject_all`]) and the instrumented code panics — or,
-//! for [`armed`]-style probes, degrades — exactly there. Because a fault
-//! plan is a pure function of `(site, key)`, injected failures are
-//! bit-reproducible at every thread count, which is what lets the
-//! fault-injection test suite assert exact degraded outcomes.
+//! whole site with [`inject_all`]) and the instrumented code panics
+//! exactly there. Because a fault plan is a pure function of
+//! `(site, key)`, injected failures are bit-reproducible at every thread
+//! count, which is what lets the fault-injection test suite assert exact
+//! degraded outcomes.
 //!
 //! Arming is process-global (the instrumented code cannot thread a handle
 //! through every layer), so tests that inject faults must serialize with
@@ -75,7 +75,7 @@ pub fn inject_all(site: &'static str) -> FaultGuard {
 }
 
 /// True when a fault is armed at `(site, key)`.
-pub fn armed(site: &str, key: usize) -> bool {
+fn armed(site: &str, key: usize) -> bool {
     if ARMED_COUNT.load(Ordering::Relaxed) == 0 {
         return false;
     }
@@ -90,16 +90,6 @@ pub fn trip(site: &str, key: usize) {
     if armed(site, key) {
         panic!("injected fault at {site}[{key}]");
     }
-}
-
-/// The distinct sites currently armed, sorted and deduplicated — lets a
-/// harness (the chaos proxy, a test's failure message) report *what* is
-/// injected without guessing site names.
-pub fn armed_sites() -> Vec<&'static str> {
-    let mut sites: Vec<&'static str> = plans().iter().map(|p| p.site).collect();
-    sites.sort_unstable();
-    sites.dedup();
-    sites
 }
 
 #[cfg(test)]
@@ -149,19 +139,6 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert_eq!(text, "injected fault at faults.test.trip[7]");
-    }
-
-    #[test]
-    fn armed_sites_reports_sorted_distinct_sites() {
-        let _serial = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        assert!(armed_sites().is_empty());
-        let _a = inject_all("faults.test.site-b");
-        let _b = inject("faults.test.site-a", &[1]);
-        let _c = inject("faults.test.site-a", &[2]);
-        assert_eq!(
-            armed_sites(),
-            vec!["faults.test.site-a", "faults.test.site-b"]
-        );
     }
 
     #[test]

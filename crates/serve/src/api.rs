@@ -306,9 +306,7 @@ impl ApiRequest {
 
     /// The request's semantic fingerprint: a pure function of *what* is
     /// computed (endpoint, design, stimuli, config) — never of *how*
-    /// (engine choice) or *when* (deadline, streaming). The shard
-    /// router keys on this, so every client routes a given piece of
-    /// work to the same daemon.
+    /// (engine choice) or *when* (deadline, streaming).
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         eat_str(&mut h, self.endpoint.label());
@@ -670,18 +668,6 @@ impl BatchRequest {
         }
         // Items carry no own deadline: the batch's budget is shared.
         draft.build(endpoint, None)
-    }
-
-    /// The batch's routing fingerprint: FNV over the per-item
-    /// fingerprints in order (unparsable items hash as zero), so a
-    /// router sends a given batch to a stable shard.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        eat_str(&mut h, "batch");
-        for item in &self.items {
-            h.u64(item.as_ref().map(|r| r.fingerprint()).unwrap_or(0));
-        }
-        h.finish()
     }
 }
 

@@ -316,7 +316,7 @@ mod tests {
     fn store_hit_is_promoted_and_counts_as_hit() {
         let dir = std::env::temp_dir().join(format!("oiso-cache-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir, 0).unwrap();
+        let store = ResultStore::open(&dir).unwrap();
         store.put(7, "isolate", &ok("{\"persisted\":1}\n"));
 
         let cache = ResultCache::new(4);
@@ -344,7 +344,7 @@ mod tests {
     fn disabled_lru_still_answers_from_the_store() {
         let dir = std::env::temp_dir().join(format!("oiso-cache-cap0-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir, 0).unwrap();
+        let store = ResultStore::open(&dir).unwrap();
         let cache = ResultCache::new(0);
         let (_, role) =
             cache.get_or_compute_with_store(1, Some(&store), "isolate", || ok("fresh"));

@@ -174,19 +174,6 @@ impl ApiError {
         )
     }
 
-    /// `503 shard_unavailable`: the shard owning this fingerprint is
-    /// unreachable. Synthesized by the fingerprint-hash router when a
-    /// downed daemon would otherwise turn into a hung connection.
-    pub fn shard_unavailable(shard: usize, count: usize, detail: impl Into<String>) -> Self {
-        let mut e = Self::new(
-            503,
-            "shard_unavailable",
-            format!("shard {}/{count} is unreachable: {}", shard + 1, detail.into()),
-        );
-        e.retry_after = Some(1);
-        e
-    }
-
     /// `503 shutting_down`: the daemon is draining.
     pub fn shutting_down() -> Self {
         let mut e = Self::new(503, "shutting_down", "daemon is shutting down");
@@ -245,14 +232,5 @@ mod tests {
         assert_eq!(retry(10_000, 1), "30", "clamped");
         assert_eq!(retry(0, 0), "1", "degenerate inputs stay sane");
         assert_eq!(ApiError::overloaded(4, 1).status, 503);
-    }
-
-    #[test]
-    fn shard_unavailable_is_structured() {
-        let r = ApiError::shard_unavailable(1, 3, "connection refused").to_response();
-        assert_eq!(r.status, 503);
-        let body = String::from_utf8(r.body).unwrap();
-        assert!(body.contains("\"code\":\"shard_unavailable\""), "{body}");
-        assert!(body.contains("shard 2/3"), "{body}");
     }
 }

@@ -300,7 +300,7 @@ impl<W: Write> ChunkedWriter<W> {
 
 /// Decodes a chunked-transfer body into the concatenated payload.
 /// Returns `None` on a malformed framing (a torn stream). Used by the
-/// test client and the shard router, which both consume daemon output.
+/// test client, which consumes daemon output.
 pub fn decode_chunked(raw: &[u8]) -> Option<Vec<u8>> {
     let mut out = Vec::new();
     let mut rest = raw;

@@ -20,10 +20,14 @@
 //! Serve v2 adds: `/v1/batch` fan-out under one shared budget,
 //! `"stream": true` chunked ndjson progress on `/v1/isolate` and
 //! `/v1/batch` ([`http::ChunkedWriter`] tapping the checkpoint journal
-//! via [`oiso_core::StepTap`]), a disk-backed result store
+//! via [`oiso_core::StepTap`]), and a disk-backed result store
 //! ([`store::ResultStore`], `--store DIR`) under the in-memory LRU so
-//! cached `200`s survive restarts, and deterministic fingerprint-hash
-//! sharding ([`shard::ShardSpec`], `--shard K/N`).
+//! cached `200`s survive restarts, including a `SIGKILL`.
+//!
+//! One daemon is the whole topology. Process death is left to the
+//! host's restart policy (systemd `Restart=`, a container runtime); the
+//! store makes the restarted daemon warm. DESIGN §14 lists every
+//! failure mode and the layer that absorbs it.
 //!
 //! Request bodies are either a flat JSON object (`{"design": "figure1",
 //! "style": "latch", "cycles": 800}` — bundled-design name or inline
@@ -70,28 +74,21 @@
 
 pub mod api;
 pub mod cache;
-pub mod chaos;
 pub mod error;
-pub mod fleet;
 pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod server;
-pub mod shard;
 pub mod signal;
 pub mod store;
-pub mod supervisor;
 pub mod testing;
 
 pub use api::Endpoint;
 pub use cache::{CacheStats, ResultCache};
 pub use error::ApiError;
-pub use fleet::{FleetClient, FleetPolicy};
 pub use metrics::Metrics;
 pub use server::{run_daemon, Server, ServerHandle};
-pub use shard::{shard_of, ShardSpec};
 pub use store::{ResultStore, StoreStats};
-pub use supervisor::{Supervisor, SupervisorConfig};
 
 /// Daemon configuration (`oiso serve --port P --threads T ...`).
 #[derive(Debug, Clone)]
@@ -114,9 +111,6 @@ pub struct ServeConfig {
     /// Directory for the disk-backed result store (`--store DIR`);
     /// `None` leaves the daemon memory-only.
     pub store: Option<std::path::PathBuf>,
-    /// This daemon's slice of a sharded fleet (`--shard K/N`); `None`
-    /// serves the whole keyspace.
-    pub shard: Option<ShardSpec>,
 }
 
 impl Default for ServeConfig {
@@ -130,7 +124,6 @@ impl Default for ServeConfig {
             max_body: 1 << 20,
             log: false,
             store: None,
-            shard: None,
         }
     }
 }

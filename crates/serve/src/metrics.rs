@@ -8,7 +8,6 @@
 
 use crate::api::Endpoint;
 use crate::cache::CacheStats;
-use crate::shard::ShardSpec;
 use crate::store::StoreStats;
 use oiso_sim::MemoStats;
 use std::collections::BTreeMap;
@@ -132,15 +131,13 @@ impl Metrics {
 
     /// Renders the full `/metrics` page. `queue_depth` is sampled by the
     /// caller (the server owns the queue), as are the cache, sim-memo,
-    /// and (when configured) result-store snapshots; `shard` names this
-    /// daemon's slice of a sharded fleet.
+    /// and (when configured) result-store snapshots.
     pub fn render(
         &self,
         cache: &CacheStats,
         memo: &MemoStats,
         queue_depth: usize,
         store: Option<&StoreStats>,
-        shard: Option<ShardSpec>,
     ) -> String {
         let mut out = String::new();
         out.push_str("# oiso-serve metrics (deterministic text exposition)\n");
@@ -208,10 +205,6 @@ impl Metrics {
             "oiso_stream_events_total {}",
             self.stream_events.load(Ordering::Relaxed)
         );
-        if let Some(shard) = shard {
-            let _ = writeln!(out, "oiso_shard_index {}", shard.index);
-            let _ = writeln!(out, "oiso_shard_count {}", shard.count);
-        }
         let _ = writeln!(out, "oiso_queue_depth {queue_depth}");
         let _ = writeln!(out, "oiso_shed_total {}", self.shed.load(Ordering::Relaxed));
         let _ = writeln!(
@@ -262,9 +255,8 @@ mod tests {
             load_warnings: 1,
             checksum_skips: 3,
         };
-        let shard = ShardSpec { index: 1, count: 3 };
-        let a = metrics.render(&cache, &memo_stats(), 4, Some(&store), Some(shard));
-        let b = metrics.render(&cache, &memo_stats(), 4, Some(&store), Some(shard));
+        let a = metrics.render(&cache, &memo_stats(), 4, Some(&store));
+        let b = metrics.render(&cache, &memo_stats(), 4, Some(&store));
         assert_eq!(a, b, "two renders of the same state are byte-identical");
         assert!(a.contains("oiso_store_hits_total 4"));
         assert!(a.contains("oiso_store_load_warnings_total 1"));
@@ -274,8 +266,6 @@ mod tests {
         assert!(a.contains("oiso_batch_items_total{status=\"shed\"} 1"));
         assert!(!a.contains("status=\"error\""), "zero-count series omitted");
         assert!(a.contains("oiso_stream_events_total 5"));
-        assert!(a.contains("oiso_shard_index 1"));
-        assert!(a.contains("oiso_shard_count 3"));
         assert!(a.contains("oiso_requests_total{endpoint=\"isolate\",status=\"200\"} 2"));
         assert!(a.contains("oiso_requests_total{endpoint=\"lint\",status=\"400\"} 1"));
         assert!(a.contains("oiso_request_latency_ms_bucket{endpoint=\"isolate\",le=\"5\"} 1"));
@@ -295,10 +285,10 @@ mod tests {
         for ms in [0, 1, 2, 30, 20_000] {
             metrics.record(Endpoint::Simulate, 200, ms);
         }
-        let page = metrics.render(&CacheStats::default(), &memo_stats(), 0, None, None);
+        let page = metrics.render(&CacheStats::default(), &memo_stats(), 0, None);
         assert!(
-            !page.contains("oiso_store_") && !page.contains("oiso_shard_"),
-            "store/shard series appear only when configured"
+            !page.contains("oiso_store_"),
+            "store series appear only when configured"
         );
         assert!(page.contains("{endpoint=\"simulate\",le=\"1\"} 2"));
         assert!(page.contains("{endpoint=\"simulate\",le=\"2\"} 3"));

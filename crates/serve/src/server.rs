@@ -66,7 +66,6 @@ impl Shared {
             &self.memo.stats(),
             self.depth.len(),
             store_stats.as_ref(),
-            self.config.shard,
         )
     }
 }
@@ -89,10 +88,7 @@ impl Server {
         let workers = resolve_threads(config.threads);
         let (sender, receiver) = bounded::<TcpStream>(config.queue_cap);
         let store = match &config.store {
-            Some(dir) => Some(ResultStore::open(
-                dir,
-                config.shard.map_or(0, |s| s.index),
-            )?),
+            Some(dir) => Some(ResultStore::open(dir)?),
             None => None,
         };
         let shared = Arc::new(Shared {

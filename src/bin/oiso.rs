@@ -24,9 +24,7 @@
 //!                 [--format text|json|sarif] [--lookahead] [--budget N]
 //!                 [--explain CODE]                   # describe one lint rule
 //! oiso serve      [--port P] [--threads T] [--cache-cap N] [--queue-cap N]
-//!                 [--memo-cap N] [--max-body BYTES] [--quiet]
-//! oiso fleet      [--shards N] [--store DIR] [--threads T] [--port-base P]
-//!                 [--compact-on-start] [--quiet]
+//!                 [--memo-cap N] [--max-body BYTES] [--store DIR] [--quiet]
 //! ```
 //!
 //! Design files use the text format documented in
@@ -41,14 +39,9 @@
 //! `127.0.0.1` — `POST /v1/{isolate,lint,verify,simulate}` with a JSON
 //! body (or raw `.oiso` text), `GET /healthz` and `GET /metrics` — with a
 //! fingerprint-keyed result cache, bounded-queue load shedding, and
-//! graceful SIGTERM/ctrl-c drain; see [`operand_isolation::serve`].
-//!
-//! `fleet` supervises N sharded `serve` daemons as child processes:
-//! health-polled, restarted with exponential backoff when they die or
-//! wedge, and parked (no more restarts) when they crash-loop —
-//! `--compact-on-start` rewrites the shared result store's files first,
-//! dropping duplicate and corrupt records; see
-//! [`operand_isolation::serve::supervisor`].
+//! graceful SIGTERM/ctrl-c drain; `--store DIR` keeps cached results on
+//! disk so a restarted daemon (even after SIGKILL) answers warm. See
+//! [`operand_isolation::serve`].
 //!
 //! Fault tolerance: `--deadline` stops a long `isolate`/`fuzz` run at the
 //! next cooperative check and returns the best-so-far result labeled
@@ -125,11 +118,7 @@ struct Options {
     memo_cap: usize,
     max_body: usize,
     store: Option<PathBuf>,
-    shard: Option<operand_isolation::serve::ShardSpec>,
     quiet: bool,
-    shards: usize,
-    port_base: Option<u16>,
-    compact_on_start: bool,
 }
 
 const USAGE: &str = "usage: oiso <show|activation|simulate|isolate|optimize|verify> <design.oiso> \
@@ -164,18 +153,11 @@ const USAGE: &str = "usage: oiso <show|activation|simulate|isolate|optimize|veri
                      --explain CODE describes one rule from the registry and exits\n\
                      \u{20}      oiso serve [--port P] [--threads T] [--cache-cap N] \
                      [--queue-cap N] [--memo-cap N] [--max-body BYTES] [--store DIR] \
-                     [--shard K/N] [--quiet]\n\
+                     [--quiet]\n\
                      serve exposes the pipeline as an HTTP daemon on 127.0.0.1 (port 0 = \
                      ephemeral); --quiet suppresses the JSON access log\n\
-                     --store DIR persists cached 200s on disk (shared by shards, survives \
-                     restarts); --shard K/N names this daemon's slice for a \
-                     fingerprint-hash router\n\
-                     \u{20}      oiso fleet [--shards N] [--store DIR] [--threads T] \
-                     [--port-base P] [--compact-on-start] [--quiet]\n\
-                     fleet supervises N sharded serve daemons as child processes: health-\
-                     polled, restarted with backoff on crash or wedge, parked when \
-                     crash-looping; --compact-on-start rewrites the store's files dropping \
-                     duplicate and corrupt records first";
+                     --store DIR persists cached 200s on disk, so a restarted daemon \
+                     answers them from the store";
 
 fn parse_options() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
@@ -186,7 +168,7 @@ fn parse_options() -> Result<Options, String> {
     // `fuzz` generates its own designs, `serve` reads designs per
     // request, and `lint` takes any number of files (parsed below);
     // every other command reads exactly one.
-    let file = if matches!(command.as_str(), "fuzz" | "lint" | "serve" | "fleet") {
+    let file = if matches!(command.as_str(), "fuzz" | "lint" | "serve") {
         String::new()
     } else {
         args.next().ok_or(USAGE)?
@@ -227,11 +209,7 @@ fn parse_options() -> Result<Options, String> {
         memo_cap: 1024,
         max_body: 1 << 20,
         store: None,
-        shard: None,
         quiet: false,
-        shards: 2,
-        port_base: None,
-        compact_on_start: false,
     };
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -403,34 +381,7 @@ fn parse_options() -> Result<Options, String> {
                     args.next().ok_or("--store needs a directory")?,
                 ));
             }
-            "--shard" => {
-                opts.shard = Some(
-                    operand_isolation::serve::ShardSpec::parse(
-                        &args.next().ok_or("--shard needs K/N (e.g. 1/3)")?,
-                    )
-                    .map_err(|e| format!("bad --shard: {e}"))?,
-                );
-            }
             "--quiet" => opts.quiet = true,
-            "--shards" => {
-                opts.shards = args
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --shards: {e}"))?;
-                if opts.shards == 0 {
-                    return Err("--shards needs at least 1".to_string());
-                }
-            }
-            "--port-base" => {
-                opts.port_base = Some(
-                    args.next()
-                        .ok_or("--port-base needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --port-base: {e}"))?,
-                );
-            }
-            "--compact-on-start" => opts.compact_on_start = true,
             "--deny" => opts
                 .deny
                 .push(args.next().ok_or("--deny needs a rule code or severity")?),
@@ -472,18 +423,6 @@ fn run() -> Result<(), String> {
     if opts.command == "lint" {
         return lint_command(&opts);
     }
-    if opts.command == "fleet" {
-        return operand_isolation::serve::supervisor::run_fleet(
-            operand_isolation::serve::supervisor::FleetCliOptions {
-                shards: opts.shards,
-                store: opts.store,
-                threads: opts.threads,
-                port_base: opts.port_base,
-                compact_on_start: opts.compact_on_start,
-                quiet: opts.quiet,
-            },
-        );
-    }
     if opts.command == "serve" {
         return operand_isolation::serve::run_daemon(operand_isolation::serve::ServeConfig {
             port: opts.port,
@@ -494,7 +433,6 @@ fn run() -> Result<(), String> {
             max_body: opts.max_body,
             log: !opts.quiet,
             store: opts.store,
-            shard: opts.shard,
         });
     }
     let design = load(&opts.file)?;

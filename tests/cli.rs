@@ -195,4 +195,13 @@ fn bad_input_fails_cleanly() {
 
     let out = oiso().arg("frobnicate").arg(example()).output().expect("run");
     assert!(!out.status.success());
+
+    // The retired multi-daemon surface is a usage error, not a panic.
+    for args in [&["fleet"][..], &["serve", "--shard", "1/2"][..]] {
+        let out = oiso().args(args).output().expect("run");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
 }

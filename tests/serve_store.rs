@@ -4,11 +4,15 @@
 //! takes the daemon down), and store keys must be engine-invariant so
 //! any simulation engine answers from the same entry.
 //!
-//! Every test drives a real daemon over real TCP on an ephemeral port.
+//! Every test drives a real daemon over real TCP on an ephemeral port:
+//! in-process, or a real `oiso serve` child process where the test must
+//! `SIGKILL` it.
 
 use operand_isolation::serve::testing::Client;
 use operand_isolation::serve::{ServeConfig, Server, ServerHandle};
+use std::io::BufRead as _;
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 
 fn spawn_with_store(dir: &Path) -> (ServerHandle, Client) {
     let handle = Server::spawn(ServeConfig {
@@ -147,4 +151,151 @@ fn deadline_bearing_requests_never_pollute_the_store() {
     assert_eq!(metric(&page, "oiso_store_appends_total"), 0, "{page}");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A real `oiso serve --port 0 --store DIR --quiet` child process,
+/// killed (if still alive) on drop.
+struct Daemon {
+    child: Child,
+    client: Client,
+}
+
+impl Daemon {
+    fn spawn(dir: &Path, threads: usize) -> Daemon {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_oiso"))
+            .args(["serve", "--port", "0", "--threads", &threads.to_string()])
+            .arg("--store")
+            .arg(dir)
+            .arg("--quiet")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn oiso serve");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut banner = String::new();
+        stdout.read_line(&mut banner).expect("read the banner");
+        let addr = banner
+            .strip_prefix("oiso-serve listening on http://")
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|addr| addr.parse().ok())
+            .unwrap_or_else(|| panic!("no listening line: {banner:?}"));
+        // Keep draining so the daemon never writes into a closed pipe.
+        std::thread::spawn(move || std::io::copy(&mut stdout, &mut std::io::sink()));
+        Daemon {
+            child,
+            client: Client::new(addr),
+        }
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+#[test]
+fn a_sigkilled_daemon_restarts_warm_from_the_store() {
+    let body = "{\"design\":\"figure1\",\"cycles\":200,\"seed\":3}";
+    for threads in [1, 2, 4] {
+        let dir = temp_dir(&format!("store-sigkill-t{threads}"));
+        let mut daemon = Daemon::spawn(&dir, threads);
+        let first = daemon.client.post("/v1/simulate", body);
+        assert_eq!(first.status, 200, "{}", first.text());
+        assert_eq!(first.header("x-oiso-cache"), Some("miss"));
+
+        // `Child::kill` is SIGKILL: no drain, no final flush. Only the
+        // store's per-append flush stands between the result and loss.
+        daemon.child.kill().expect("SIGKILL the daemon");
+        daemon.child.wait().expect("reap the daemon");
+        drop(daemon);
+
+        let daemon = Daemon::spawn(&dir, threads);
+        let replay = daemon.client.post("/v1/simulate", body);
+        assert_eq!(replay.status, 200, "{}", replay.text());
+        assert_eq!(
+            replay.header("x-oiso-cache"),
+            Some("hit"),
+            "threads {threads}: the restarted daemon serves the stored result"
+        );
+        assert_eq!(replay.body, first.body, "threads {threads}: bytes changed");
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Flips one digit inside the body of the first entry of a store
+/// record file: damage that still parses as JSON, so only the checksum
+/// can catch it. Returns whether a digit was found to flip.
+fn flip_store_digit(path: &Path) -> bool {
+    let text = std::fs::read_to_string(path).expect("read the store file");
+    let mut out = String::with_capacity(text.len());
+    let mut flipped = false;
+    for line in text.split_inclusive('\n') {
+        if !flipped && line.contains("\"kind\":\"entry\"") {
+            if let Some(pos) = line.find("\"body\":\"") {
+                let body_start = pos + "\"body\":\"".len();
+                if let Some(rel) = line[body_start..].find(|c: char| c.is_ascii_digit()) {
+                    let at = body_start + rel;
+                    let new = if line.as_bytes()[at] == b'7' { '3' } else { '7' };
+                    out.push_str(&line[..at]);
+                    out.push(new);
+                    out.push_str(&line[at + 1..]);
+                    flipped = true;
+                    continue;
+                }
+            }
+        }
+        out.push_str(line);
+    }
+    std::fs::write(path, out).expect("rewrite the store file");
+    flipped
+}
+
+#[test]
+fn a_bit_flipped_record_is_detected_and_recomputed_byte_identically() {
+    // A simulate result: re-executing it is deterministic, so the
+    // recomputed body must equal the original bytes.
+    let body = "{\"design\":\"figure1\",\"cycles\":200,\"seed\":5}";
+    for threads in [1, 2, 4] {
+        let dir = temp_dir(&format!("store-bitflip-t{threads}"));
+        let spawn = || {
+            let handle = Server::spawn(ServeConfig {
+                threads,
+                store: Some(dir.clone()),
+                log: false,
+                ..ServeConfig::default()
+            })
+            .expect("bind an ephemeral port");
+            let client = Client::new(handle.addr());
+            (handle, client)
+        };
+        let (handle, client) = spawn();
+        let original = client.post("/v1/simulate", body);
+        assert_eq!(original.status, 200, "{}", original.text());
+        handle.shutdown();
+
+        assert!(
+            flip_store_digit(&dir.join("store-0.jsonl")),
+            "no stored digit to flip"
+        );
+
+        let (handle, client) = spawn();
+        let page = handle.metrics_page();
+        assert!(
+            metric(&page, "oiso_store_checksum_skips_total") >= 1,
+            "threads {threads}: the flip went undetected\n{page}"
+        );
+        let recomputed = client.post("/v1/simulate", body);
+        assert_eq!(recomputed.status, 200, "{}", recomputed.text());
+        assert_eq!(
+            recomputed.header("x-oiso-cache"),
+            Some("miss"),
+            "threads {threads}: a damaged record is never served"
+        );
+        assert_eq!(recomputed.body, original.body, "threads {threads}");
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
