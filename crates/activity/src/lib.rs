@@ -13,8 +13,8 @@
 //! * **Transition densities** (toggles per clock cycle) under a lag-one
 //!   Markov pair model: every source bit `x` gets a toggle companion `t`,
 //!   the next-cycle value is `x ⊕ t`, and the density of any net is the
-//!   exact probability of the miter `f(x) ⊕ f(x ⊕ t)` — see [`pair`] for
-//!   the conditioned traversal that keeps the chain stationary.
+//!   exact probability of the miter `f(x) ⊕ f(x ⊕ t)` — see the `pair`
+//!   module for the conditioned traversal that keeps the chain stationary.
 //! * **Glitch estimates** per cell from static-timing arrival windows: a
 //!   cell whose inputs arrive far apart produces spurious transitions
 //!   proportional to the window width and the input activity.
@@ -36,7 +36,7 @@
 
 mod pair;
 
-pub use pair::ExprActivity;
+pub use pair::{ActivityCarry, ExprActivity, PassOrigin};
 
 use oiso_boolex::{BoolExpr, NodeBudget, ProbabilityMemo, Signal};
 use oiso_netlist::{CellId, CellKind, NetId, Netlist};
@@ -238,6 +238,14 @@ impl ActivityReport {
 /// nets — the optimizer's candidate ranking — pays for those nets' miters
 /// only; [`analyze_activity_with_plan`] forces every net and gets the same
 /// values bit for bit.
+///
+/// A model's exact pass can outlive it: [`ActivityModel::into_carry`]
+/// keeps its BDD manager and a memo from each cell's input functions to
+/// its output functions, and [`ActivityModel::with_carry`] builds the next
+/// model of a changed netlist in that manager, encoding again only the
+/// cells whose input functions changed. Every value equals a fresh
+/// model's bit for bit; only [`ActivityModel::bdd_nodes`] differs, since a
+/// carried model counts the whole carried manager.
 pub struct ActivityModel {
     base: ActivityEstimate,
     pass: ExactPass,
@@ -257,6 +265,20 @@ impl ActivityModel {
     /// Builds the model of `netlist` with input statistics drawn from
     /// `plan`; inputs the plan does not drive are assumed uniform random.
     pub fn new(netlist: &Netlist, plan: &StimulusPlan, opts: &ActivityOptions) -> ActivityModel {
+        ActivityModel::with_carry(netlist, plan, opts, None)
+    }
+
+    /// [`ActivityModel::new`], building the exact pass in the manager a
+    /// previous model left in `carry` when its variable order still fits;
+    /// see [`PassOrigin`] for when it starts fresh instead. The algebraic
+    /// base, the register fixpoint and the seeds always run again: a
+    /// changed netlist moves the source statistics.
+    pub fn with_carry(
+        netlist: &Netlist,
+        plan: &StimulusPlan,
+        opts: &ActivityOptions,
+        carry: Option<ActivityCarry>,
+    ) -> ActivityModel {
         // 1. Input statistics from the plan, then the algebraic base
         //    estimate (register fixpoint included) over every net.
         let mut input_stats: HashMap<NetId, Vec<BitStats>> = HashMap::new();
@@ -296,7 +318,8 @@ impl ActivityModel {
             netlist,
             &source_stats,
             &source_nets,
-            &NodeBudget::new(opts.node_budget),
+            opts.node_budget,
+            carry,
         );
 
         // 2b. Outer refinement of the register-probability seeds. For every
@@ -488,7 +511,8 @@ impl ActivityModel {
     }
 
     /// BDD nodes allocated so far: the exact pass plus the miters of every
-    /// net derived up to now.
+    /// net derived up to now. A carried model also counts every node the
+    /// carried manager held before this model was built.
     pub fn bdd_nodes(&self) -> usize {
         self.pass.bdd.num_nodes()
     }
@@ -496,6 +520,18 @@ impl ActivityModel {
     /// `true` when the node budget cut the exact pass short.
     pub fn budget_blown(&self) -> bool {
         self.pass.blown
+    }
+
+    /// How the exact pass was built: fresh, or in a carried manager.
+    pub fn pass_origin(&self) -> PassOrigin {
+        self.pass.origin
+    }
+
+    /// The exact pass's manager and memo, for
+    /// [`ActivityModel::with_carry`] on the next version of the netlist;
+    /// `None` when the budget blew, since a blown pass is never carried.
+    pub fn into_carry(self) -> Option<ActivityCarry> {
+        self.pass.into_carry()
     }
 }
 

@@ -193,6 +193,70 @@ pub(crate) struct ExactPass {
     /// that variable's probability from `Pr(W)` once statistics settle.
     pub pseudo_words: Vec<(oiso_netlist::NetId, BddRef)>,
     pub blown: bool,
+    /// How this pass came to be built in `bdd`.
+    pub origin: PassOrigin,
+    memo: FnMemo,
+    /// For a carried pass, the node count its manager had when the fresh
+    /// pass it started with was carried; 0 for a fresh pass.
+    fresh_nodes: usize,
+}
+
+/// How an exact pass was built: in a new manager, or in the manager a
+/// previous pass left behind (see [`ActivityCarry`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PassOrigin {
+    /// In a new manager, with no carry offered.
+    Fresh,
+    /// In the carried manager, reusing the functions of every cell whose
+    /// input functions were unchanged.
+    Carried,
+    /// In a new manager: the carried one interned a different variable
+    /// order (a source or multiplier output came or went).
+    OrderChanged,
+    /// In a new manager: the carried one had outgrown a fixed multiple of
+    /// the nodes it held when first carried, after its fresh build.
+    Outgrown,
+    /// In a new manager, after the carried build tripped the node budget.
+    BudgetFallback,
+}
+
+/// The BDD manager and function memo of a finished exact pass whose
+/// budget held, kept for the next [`crate::ActivityModel`] over a changed
+/// netlist.
+///
+/// Carrying never changes a result: a carried build is bit-identical to a
+/// fresh one, or it is discarded for one.
+pub struct ActivityCarry {
+    bdd: Bdd,
+    memo: FnMemo,
+    fresh_nodes: usize,
+}
+
+/// A carried manager only grows. Past this many times the node count it
+/// had when first carried, after its fresh build, the next build starts
+/// fresh instead, which bounds the memory a carry holds.
+const CARRY_GROWTH_LIMIT: usize = 3;
+
+/// What a cell's output bits are a function of: its kind, its output
+/// width and each input port's bits, port boundaries kept.
+#[derive(PartialEq, Eq, Hash)]
+struct CellKey {
+    kind: CellKind,
+    width: usize,
+    ins: Vec<Vec<BddRef>>,
+}
+
+/// Functions computed in one manager, keyed by the functions they were
+/// computed from, so a later build in the same manager reuses every cell
+/// whose input functions did not change. Keys and values are [`BddRef`]s
+/// of that manager only.
+#[derive(Default)]
+struct FnMemo {
+    /// `None` where [`encode_cell`] declined the kind.
+    cells: HashMap<CellKey, Option<Vec<BddRef>>>,
+    /// A pseudo-multiplier's word-change function, keyed by each operand's
+    /// `cur` bits then its `nxt` bits.
+    words: HashMap<Vec<Vec<BddRef>>, BddRef>,
 }
 
 /// One phase-B work item, in topological order.
@@ -206,33 +270,155 @@ enum PlanItem {
     PseudoMul(oiso_netlist::CellId),
 }
 
+/// The variables a build interns, top level first: a value/toggle pair
+/// per bit of every source and multiplier output, bit-sliced round-robin
+/// across those nets (x[0], y[0], …, x[1], y[1], …) — the classic
+/// datapath ordering that keeps ripple-carry chains polynomial — with each
+/// value bit immediately before its toggle bit so the pair traversal can
+/// condition on the value branch.
+///
+/// Multiplier outputs become pseudo-sources during phase A; their pairs
+/// join the same round-robin so that adder trees mixing products with
+/// primary inputs keep the interleaved order (appending them at discovery
+/// time recreates the net-by-net ordering that makes ripple carries
+/// exponential). Each also claims its word-change slot right after its
+/// own bit-0 pair, so the slot never splits a pair of any net.
+fn var_order(netlist: &Netlist, source_nets: &[oiso_netlist::NetId]) -> Vec<Signal> {
+    let mul_outs = netlist
+        .cells()
+        .filter(|(_, c)| c.kind() == CellKind::Mul)
+        .map(|(_, c)| c.output())
+        .filter(|n| !source_nets.contains(n));
+    let nets: Vec<(oiso_netlist::NetId, bool)> = source_nets
+        .iter()
+        .map(|&n| (n, false))
+        .chain(mul_outs.map(|n| (n, true)))
+        .collect();
+    let width = |n: oiso_netlist::NetId| netlist.net(n).width() as usize;
+    let max_width = nets.iter().map(|&(n, _)| width(n)).max().unwrap_or(0);
+    let mut order = Vec::new();
+    for bit in 0..max_width {
+        for &(net, is_mul) in &nets {
+            if bit >= width(net) {
+                continue;
+            }
+            let sig = Signal {
+                net,
+                bit: bit as u8,
+            };
+            order.push(sig);
+            order.push(toggle_sig(sig));
+            if is_mul && bit == 0 {
+                order.push(word_sig(net));
+            }
+        }
+    }
+    order
+}
+
 impl ExactPass {
-    /// Builds the pass. `source_stats` must cover every bit of every source
-    /// net (primary inputs, register outputs, latch outputs).
+    /// Builds the pass under a `node_budget`. `source_stats` must cover
+    /// every bit of every source net (primary inputs, register outputs,
+    /// latch outputs).
+    ///
+    /// With a `carry`, the pass is built in the carried manager when that
+    /// manager interned the same variable order and has not outgrown
+    /// [`CARRY_GROWTH_LIMIT`]; a carried build that trips the budget is
+    /// discarded for a fresh one. The functions, `blown` and everything
+    /// derived from them equal a fresh build's either way: nodes are
+    /// canonical, so at every budget check the carried manager holds a
+    /// superset of the fresh build's nodes, and a carried build that fits
+    /// is one the fresh build also completes.
     pub fn build(
         netlist: &Netlist,
         source_stats: &SourceStats,
         source_nets: &[oiso_netlist::NetId],
-        budget: &NodeBudget,
+        node_budget: usize,
+        carry: Option<ActivityCarry>,
     ) -> ExactPass {
+        let order = var_order(netlist, source_nets);
+        let origin = match carry {
+            None => PassOrigin::Fresh,
+            Some(c) if c.bdd.order() != order => PassOrigin::OrderChanged,
+            Some(c) if c.bdd.num_nodes() > CARRY_GROWTH_LIMIT * c.fresh_nodes => {
+                PassOrigin::Outgrown
+            }
+            Some(c) => {
+                let pass = ExactPass::build_in(
+                    c.bdd,
+                    c.memo,
+                    netlist,
+                    source_stats,
+                    source_nets,
+                    &order,
+                    node_budget,
+                );
+                if !pass.blown {
+                    return ExactPass {
+                        origin: PassOrigin::Carried,
+                        fresh_nodes: c.fresh_nodes,
+                        ..pass
+                    };
+                }
+                PassOrigin::BudgetFallback
+            }
+        };
+        ExactPass {
+            origin,
+            ..ExactPass::build_in(
+                Bdd::new(),
+                FnMemo::default(),
+                netlist,
+                source_stats,
+                source_nets,
+                &order,
+                node_budget,
+            )
+        }
+    }
+
+    /// The manager and memo to carry into the next build, or `None` when
+    /// the budget blew: a blown pass's manager is never carried.
+    pub fn into_carry(self) -> Option<ActivityCarry> {
+        let fresh_nodes = match self.origin {
+            PassOrigin::Carried => self.fresh_nodes,
+            _ => self.bdd.num_nodes(),
+        };
+        (!self.blown).then_some(ActivityCarry {
+            bdd: self.bdd,
+            memo: self.memo,
+            fresh_nodes,
+        })
+    }
+
+    /// The one build: phase A, the register refinement and phase B in
+    /// `bdd`, which is empty or has interned exactly `order`, reusing
+    /// `memo`'s functions wherever a cell's input functions match.
+    fn build_in(
+        mut bdd: Bdd,
+        memo: FnMemo,
+        netlist: &Netlist,
+        source_stats: &SourceStats,
+        source_nets: &[oiso_netlist::NetId],
+        order: &[Signal],
+        node_budget: usize,
+    ) -> ExactPass {
+        // The pass depends on its variable order (value/toggle pairs stay
+        // adjacent), which the manager keeps fixed; the budget is the only
+        // ceiling, debited at once for the nodes a carried manager holds.
+        bdd.set_budget(NodeBudget::new(node_budget));
         let mut pass = ExactPass {
-            bdd: Bdd::new(),
+            bdd,
             stats: source_stats.clone(),
             fns: (0..netlist.num_nets()).map(|_| None).collect(),
             reg_tiers: HashMap::new(),
             pseudo: Vec::new(),
             pseudo_words: Vec::new(),
             blown: false,
+            origin: PassOrigin::Fresh,
+            memo,
+            fresh_nodes: 0,
         };
-        // The pass depends on its variable order (value/toggle pairs stay
-        // adjacent), which the manager keeps fixed; the shared budget
-        // handle is the only ceiling.
-        pass.bdd.set_budget(budget.clone());
-        // Register variables bit-sliced round-robin across the sources
-        // (x[0], y[0], …, x[1], y[1], …) — the classic datapath ordering
-        // that keeps ripple-carry chains polynomial — with each value bit
-        // immediately before its toggle bit so the pair traversal can
-        // condition on the value branch.
         for &net in source_nets {
             let width = netlist.net(net).width() as usize;
             pass.fns[net.index()] = Some(NetFns {
@@ -240,48 +426,17 @@ impl ExactPass {
                 nxt: Vec::with_capacity(width),
             });
         }
-        // Multiplier outputs become pseudo-sources during phase A; their
-        // variable pairs join the same round-robin here so that adder trees
-        // mixing products with primary inputs keep the interleaved order
-        // (appending them at discovery time recreates the net-by-net
-        // ordering that makes ripple carries exponential).
-        let mul_outs: Vec<oiso_netlist::NetId> = netlist
-            .cells()
-            .filter(|(_, c)| c.kind() == CellKind::Mul)
-            .map(|(_, c)| c.output())
-            .filter(|n| pass.fns[n.index()].is_none())
-            .collect();
-        let max_width = source_nets
-            .iter()
-            .chain(mul_outs.iter())
-            .map(|&n| netlist.net(n).width() as usize)
-            .max()
-            .unwrap_or(0);
-        for bit in 0..max_width {
-            for &net in source_nets.iter().chain(mul_outs.iter()) {
-                if bit >= netlist.net(net).width() as usize {
-                    continue;
-                }
-                let sig = Signal {
-                    net,
-                    bit: bit as u8,
-                };
-                let x = pass.bdd.literal(sig);
-                let t = pass.bdd.literal(toggle_sig(sig));
-                match pass.fns[net.index()].as_mut() {
-                    Some(fns) => {
-                        let nxt = pass.bdd.xor(x, t);
-                        fns.cur.push(x);
-                        fns.nxt.push(nxt);
-                    }
-                    // A multiplier output: also claim its word-change slot,
-                    // placed after its own bit-0 pair so it never splits a
-                    // value/toggle pair of any net.
-                    None if bit == 0 => {
-                        pass.bdd.literal(word_sig(net));
-                    }
-                    None => {}
-                }
+        // Every variable's literal, in order; a source bit's next-cycle
+        // function `x ⊕ t` follows its toggle literal.
+        for &sig in order {
+            let lit = pass.bdd.literal(sig);
+            if !is_toggle(sig) {
+                continue;
+            }
+            if let Some(fns) = pass.fns[sig.net.index()].as_mut() {
+                let x = pass.bdd.literal(base_sig(sig));
+                fns.cur.push(x);
+                fns.nxt.push(pass.bdd.xor(x, lit));
             }
         }
         // Phase A: current-cycle functions in topological order.
@@ -445,16 +600,7 @@ impl ExactPass {
                     // the single fresh word variable instead, so operand
                     // cones never leak into downstream BDDs (an adder tree
                     // over exact-W products goes exponential).
-                    let mut w_changed = BddRef::FALSE;
-                    for &input in cell.inputs() {
-                        let fns = pass.fns[input.index()]
-                            .as_ref()
-                            .expect("pseudo-mul inputs covered in phase A");
-                        for (&c, &n) in fns.cur.iter().zip(fns.nxt.iter()) {
-                            let m = pass.bdd.xor(c, n);
-                            w_changed = pass.bdd.or(w_changed, m);
-                        }
-                    }
+                    let w_changed = pass.word_change(cell);
                     let q = cell.output();
                     pass.pseudo_words.push((q, w_changed));
                     let w = pass.bdd.literal(word_sig(q));
@@ -507,23 +653,62 @@ impl ExactPass {
     /// The cell's per-bit functions in `phase`, or `None` when an input is
     /// uncovered or the kind is not bit-level modeled: multipliers become
     /// word-change pseudo-sources, and the algebraic estimator takes over
-    /// for anything else [`encode_cell`] declines.
+    /// for anything else [`encode_cell`] declines. Memoized on the inputs'
+    /// functions, so both phases and later builds in this manager share it.
     fn eval_phase(&mut self, netlist: &Netlist, cell: &Cell, phase: Phase) -> Option<Vec<BddRef>> {
         if cell.kind() == CellKind::Mul {
             return None;
         }
-        let width = netlist.net(cell.output()).width() as usize;
-        let ins: Option<Vec<&[BddRef]>> = cell
+        let ins: Option<Vec<Vec<BddRef>>> = cell
             .inputs()
             .iter()
             .map(|n| {
                 self.fns[n.index()].as_ref().map(|f| match phase {
-                    Phase::Cur => f.cur.as_slice(),
-                    Phase::Nxt => f.nxt.as_slice(),
+                    Phase::Cur => f.cur.clone(),
+                    Phase::Nxt => f.nxt.clone(),
                 })
             })
             .collect();
-        encode_cell(&mut self.bdd, cell.kind(), &ins?, width, |_| false)
+        let key = CellKey {
+            kind: cell.kind(),
+            width: netlist.net(cell.output()).width() as usize,
+            ins: ins?,
+        };
+        if let Some(out) = self.memo.cells.get(&key) {
+            return out.clone();
+        }
+        let ins: Vec<&[BddRef]> = key.ins.iter().map(Vec::as_slice).collect();
+        let out = encode_cell(&mut self.bdd, key.kind, &ins, key.width, |_| false);
+        self.memo.cells.insert(key, out.clone());
+        out
+    }
+
+    /// The word-change function `W` of a pseudo-multiplier whose operands
+    /// are covered in both phases: "any operand bit changed this cycle".
+    /// Memoized on the operands' functions.
+    fn word_change(&mut self, cell: &Cell) -> BddRef {
+        let key: Vec<Vec<BddRef>> = cell
+            .inputs()
+            .iter()
+            .flat_map(|input| {
+                let fns = self.fns[input.index()]
+                    .as_ref()
+                    .expect("pseudo-mul inputs covered in phase A");
+                [fns.cur.clone(), fns.nxt.clone()]
+            })
+            .collect();
+        if let Some(&w) = self.memo.words.get(&key) {
+            return w;
+        }
+        let mut w = BddRef::FALSE;
+        for port in key.chunks(2) {
+            for (&c, &n) in port[0].iter().zip(&port[1]) {
+                let m = self.bdd.xor(c, n);
+                w = self.bdd.or(w, m);
+            }
+        }
+        self.memo.words.insert(key, w);
+        w
     }
 }
 

@@ -434,6 +434,9 @@ pub fn optimize_with_memo(
     let mut pre_excluded: HashSet<CellId> = HashSet::new();
     let mut evaluated: usize = 0;
     let mut truncated = false;
+    // The last ranking's exact activity pass, carried into the next so
+    // that only cells whose input functions changed are encoded again.
+    let mut activity_carry: Option<oiso_activity::ActivityCarry> = None;
 
     // Replay journaled accepted steps without re-simulating: the journal
     // stores everything the transform needs (cell, activation, style via
@@ -550,15 +553,18 @@ pub fn optimize_with_memo(
         // that cannot bind keeps every candidate, and winners break ties on
         // cell identity, so the order is moot and the analysis is skipped.
         // The model derives only the nets the ranks read: operands and
-        // activation supports.
+        // activation supports. It is built in the previous ranking's BDD
+        // manager where it can be, with ranks bit-identical to a fresh
+        // model's.
         let cap_binds = config
             .candidate_cap
             .is_some_and(|cap| candidates.len() > cap);
         if config.activity_ranking && cap_binds {
-            let mut activity = oiso_activity::ActivityModel::new(
+            let mut activity = oiso_activity::ActivityModel::with_carry(
                 &work,
                 plan,
                 &oiso_activity::ActivityOptions::default(),
+                activity_carry.take(),
             );
             // Same budget policy as the precheck above: an explicit run
             // ceiling is shared across the whole ranked list.
@@ -579,6 +585,7 @@ pub fn optimize_with_memo(
                     (rank, cand)
                 })
                 .collect();
+            activity_carry = activity.into_carry();
             ranked.sort_by(|a, b| {
                 b.0.partial_cmp(&a.0)
                     .unwrap_or(std::cmp::Ordering::Equal)

@@ -210,9 +210,9 @@ impl JsonValue {
 const MAX_DEPTH: usize = 16;
 
 /// Parses one complete JSON value (object, array, or scalar) with
-/// arbitrary nesting up to [`MAX_DEPTH`], tolerating whitespace between
-/// tokens. Duplicate object keys are rejected, exactly like
-/// [`parse_object`].
+/// arbitrary nesting up to `MAX_DEPTH` (16) levels, tolerating
+/// whitespace between tokens. Duplicate object keys are rejected, exactly
+/// like [`parse_object`].
 ///
 /// # Errors
 ///

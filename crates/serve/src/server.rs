@@ -1,6 +1,6 @@
 //! The daemon: acceptor → bounded queue → worker pool.
 //!
-//! One acceptor thread owns the (non-blocking) listener and feeds
+//! One acceptor thread blocks on the listener and feeds
 //! accepted connections into an [`oiso_par::queue`] bounded channel; a
 //! full queue is answered immediately with `503` + `Retry-After`
 //! (load shedding) rather than buffering without bound. `--threads`
@@ -9,9 +9,11 @@
 //! lives on — the same fault-isolation discipline as
 //! [`oiso_par::parallel_map_isolated`], applied to connections.
 //!
-//! Shutdown is cooperative: latching the shutdown flag (SIGTERM /
-//! ctrl-c via [`crate::signal`], or [`ServerHandle::shutdown`]) makes
-//! the acceptor stop accepting and drop its queue sender; the closed
+//! Shutdown is cooperative: [`ServerHandle::shutdown`] (which
+//! [`run_daemon`] calls on SIGTERM / ctrl-c) latches the shutdown flag
+//! and wakes the acceptor with one connection of its own; the acceptor
+//! drops whatever it accepts once the flag is up, stops accepting and
+//! drops its queue sender; the closed
 //! queue lets the workers finish every already-accepted connection and
 //! exit, and [`ServerHandle::shutdown`] joins them all before
 //! returning the final metrics page.
@@ -83,7 +85,6 @@ impl Server {
     /// per-request, not here.
     pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let workers = resolve_threads(config.threads);
         let (sender, receiver) = bounded::<TcpStream>(config.queue_cap);
@@ -110,30 +111,30 @@ impl Server {
                     // `sender` moves in here; dropping it on exit closes
                     // the queue and releases the workers.
                     let sender = sender;
-                    while !shared.stopping() {
-                        match listener.accept() {
-                            Ok((stream, _)) => match sender.try_send(stream) {
-                                Ok(()) => {}
-                                Err(TrySendError::Full(stream)) => {
-                                    shared.metrics.record_shed();
-                                    reject(
-                                        stream,
-                                        ApiError::overloaded(
-                                            shared.depth.len(),
-                                            shared.workers,
-                                        ),
-                                    );
-                                }
-                                Err(TrySendError::Closed(stream)) => {
-                                    reject(stream, ApiError::shutting_down());
-                                }
-                            },
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
+                    loop {
+                        let accepted = listener.accept();
+                        if shared.stopping() {
+                            // The shutdown wake-up, or a client that
+                            // arrived after shutdown began: dropped.
+                            break;
+                        }
+                        // Transient accept errors (ECONNABORTED etc.)
+                        // affect one connection, not the daemon.
+                        let Ok((stream, _)) = accepted else {
+                            continue;
+                        };
+                        match sender.try_send(stream) {
+                            Ok(()) => {}
+                            Err(TrySendError::Full(stream)) => {
+                                shared.metrics.record_shed();
+                                reject(
+                                    stream,
+                                    ApiError::overloaded(shared.depth.len(), shared.workers),
+                                );
                             }
-                            // Transient accept errors (ECONNABORTED etc.)
-                            // affect one connection, not the daemon.
-                            Err(_) => {}
+                            Err(TrySendError::Closed(stream)) => {
+                                reject(stream, ApiError::shutting_down());
+                            }
                         }
                     }
                 })?
@@ -188,8 +189,10 @@ impl ServerHandle {
     /// page.
     pub fn shutdown(self) -> String {
         self.shared.stop.store(true, Ordering::SeqCst);
-        // Acceptor exits its poll loop and drops the only sender; the
-        // closed queue releases the workers once it is drained.
+        // Wake the acceptor from its blocking accept: it drops this
+        // connection, exits and drops the only sender; the closed queue
+        // releases the workers once it is drained.
+        let _ = TcpStream::connect(self.addr);
         let _ = self.acceptor.join();
         for worker in self.workers {
             let _ = worker.join();

@@ -4,7 +4,7 @@
 //! direct FFI declaration of libc's `signal(2)` (libc is always linked
 //! on the platforms we build for) installs a handler that does the one
 //! async-signal-safe thing a handler may do here: store into an
-//! `AtomicBool`. The daemon's accept loop polls [`requested`] and turns
+//! `AtomicBool`. The daemon's main thread polls [`requested`] and turns
 //! the latch into a graceful drain. On non-Unix targets installation is
 //! a no-op and shutdown is driven programmatically via [`request`]
 //! (which is also how tests exercise the drain path).

@@ -40,9 +40,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Store format version written by this build; files with a different
-/// version are skipped (with a warning), not misread. Version 2 added
-/// the mandatory per-entry content checksum.
+/// Store format version written by this build; a file with a different
+/// version is skipped (with a warning), not misread, and moved aside so
+/// that new records go to a file this build can read back. Version 2
+/// added the mandatory per-entry content checksum.
 pub const STORE_VERSION: u64 = 2;
 
 /// The record file under the store directory. The name predates the
@@ -103,24 +104,36 @@ impl ResultStore {
     /// Opens (creating if needed) the store under `dir`: loads the
     /// record file if there is one and opens it for append.
     ///
+    /// A record file whose header is not this build's (another version,
+    /// a damaged header, not text at all) is skipped whole, as one
+    /// warning, and renamed to `store-0.jsonl.v<N>` (or
+    /// `store-0.jsonl.unreadable`) so that this build appends to a fresh
+    /// file of its own instead of one its loader would skip again.
+    ///
     /// # Errors
     ///
-    /// Filesystem failures creating the directory or opening the record
-    /// file for append. Unparsable *content* is never an error — see
-    /// the module docs.
+    /// Filesystem failures creating the directory, moving a foreign
+    /// record file aside or opening the record file for append.
+    /// Unparsable *content* is never an error — see the module docs.
     pub fn open(dir: &Path) -> std::io::Result<ResultStore> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(STORE_FILE);
         let mut index = HashMap::new();
         let existing = std::fs::read(&path).unwrap_or_default();
-        let fresh = existing.is_empty();
-        let (load_warnings, checksum_skips) = if fresh {
-            (0, 0)
-        } else {
-            match std::str::from_utf8(&existing) {
-                Ok(text) => load_records(text, &mut index),
-                // Not text at all: the whole file is one warning.
-                Err(_) => (1, 0),
+        let text = std::str::from_utf8(&existing).ok();
+        let header = text
+            .and_then(|t| t.split_inclusive('\n').next())
+            .and_then(parse_header);
+        let fresh = existing.is_empty() || header != Some(STORE_VERSION);
+        let (load_warnings, checksum_skips) = match (text, header) {
+            _ if existing.is_empty() => (0, 0),
+            (Some(text), Some(STORE_VERSION)) => load_records(text, &mut index),
+            // Records under a foreign header may not mean what we think,
+            // and would be skipped again after every restart.
+            _ => {
+                let suffix = header.map_or_else(|| "unreadable".to_string(), |v| format!("v{v}"));
+                std::fs::rename(&path, dir.join(format!("{STORE_FILE}.{suffix}")))?;
+                (1, 0)
             }
         };
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -209,20 +222,13 @@ fn render_entry(key: u64, endpoint: &str, body: &str) -> String {
     )
 }
 
-/// Loads the records of the file into `index`, returning
-/// `(warned_lines, checksum_skips)`. The first line must be a header
-/// with a known version or the whole file is skipped as one warning.
+/// Loads the records after the file's header line (which the caller has
+/// checked is this build's) into `index`, returning
+/// `(warned_lines, checksum_skips)`.
 fn load_records(text: &str, index: &mut HashMap<u64, String>) -> (u64, u64) {
     let mut warnings = 0u64;
     let mut checksum_skips = 0u64;
-    let mut lines = text.split_inclusive('\n');
-    match lines.next().map(parse_header) {
-        Some(Some(version)) if version == STORE_VERSION => {}
-        // Unknown version or malformed header: skip the file's records
-        // entirely — they may not mean what we think.
-        _ => return (1, 0),
-    }
-    for line in lines {
+    for line in text.split_inclusive('\n').skip(1) {
         let payload = line.strip_suffix('\n').unwrap_or(line);
         if payload.trim().is_empty() {
             continue;
@@ -493,6 +499,18 @@ mod tests {
         let store = ResultStore::open(&dir).unwrap();
         assert_eq!(store.stats().load_warnings, 1);
         assert_eq!(store.stats().entries, 0);
+        // The foreign file is moved aside, not appended to: what this
+        // build stores is served after a restart.
+        store.put(2, "isolate", &ok("stored"));
+        drop(store);
+        let aside = std::fs::read_to_string(dir.join(format!("{STORE_FILE}.v999"))).unwrap();
+        assert!(
+            aside.starts_with("{\"kind\":\"header\",\"version\":999}"),
+            "{aside}"
+        );
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.stats().load_warnings, 0);
+        assert_eq!(store.get(2).expect("stored under v2").body, b"stored");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

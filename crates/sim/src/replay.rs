@@ -2,7 +2,7 @@
 //!
 //! Equivalence checkers produce counterexamples as *named* value
 //! assignments (primary inputs plus stateful-cell states). Replaying such a
-//! vector on a concrete [`Simulator`](crate::Simulator) turns a symbolic
+//! vector on a concrete [`Simulator`] turns a symbolic
 //! verdict into a ground-truth observation: set the state, apply the
 //! inputs, settle, and read back every primary output and every next
 //! state. Running the same vector on two netlists and diffing the outcomes

@@ -2,7 +2,7 @@
 //!
 //! [`CompiledSim`] levelizes the netlist **once** at construction
 //! ([`oiso_netlist::comb_topo_order`]) and lowers every combinational cell
-//! to one [`TapeOp`] whose operands are pre-resolved indices into the dense
+//! to one `TapeOp` whose operands are pre-resolved indices into the dense
 //! per-net value arena. A cycle then replays the tape as a tight loop over
 //! a `Vec` of small enum values — no graph walking, no per-cell input
 //! gathering, no width lookups — which is what makes the tape the fast

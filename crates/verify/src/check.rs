@@ -8,7 +8,7 @@
 //!   the cell would store at the clock edge.
 //!
 //! Current states are modeled as shared free variables (see
-//! [`VarTable`](crate::VarTable)): the net `"q"` of the original and the
+//! [`VarTable`]): the net `"q"` of the original and the
 //! net `"q"` of the transformed design read the *same* state variable.
 //! Because both simulators reset all state to 0, equal next states under an
 //! arbitrary shared current state is an induction step — together with the
