@@ -7,8 +7,9 @@
 //! For every bundled design, derives the activation functions, isolates
 //! every arithmetic candidate step by step (`verify_isolation_plan`), and
 //! records how the symbolic checker fared: how many steps were **proved**
-//! by BDD, how many fell back to **sampled** differential evidence, the
-//! peak allocated node count, and wall-clock. The checker runs with
+//! by BDD (and how many of those the arithmetic cut-point phase closed,
+//! `cut_proved`), how many fell back to **sampled** differential
+//! evidence, the peak allocated node count, and wall-clock. The checker runs with
 //! `CheckConfig::default()` except for the node budget.
 //!
 //! `--json PATH` writes the measurements as `BENCH_verify.json`, the
@@ -71,6 +72,7 @@ fn parse_args() -> Result<Args, String> {
 struct Row {
     candidates: usize,
     proved: usize,
+    cut_proved: usize,
     sampled: usize,
     skipped: usize,
     violations: usize,
@@ -106,6 +108,7 @@ fn run_design(name: &str, args: &Args) -> Row {
     let mut row = Row {
         candidates: plan.len(),
         proved: 0,
+        cut_proved: 0,
         sampled: 0,
         skipped: 0,
         violations: 0,
@@ -114,6 +117,7 @@ fn run_design(name: &str, args: &Args) -> Row {
     };
     for check in &checks {
         row.peak_nodes = row.peak_nodes.max(check.stats.peak_nodes);
+        row.cut_proved += usize::from(check.stats.cut_proved);
         match &check.outcome {
             VerifyOutcome::Verified(Proof::Bdd { .. }) => row.proved += 1,
             VerifyOutcome::Verified(Proof::Sampled { .. }) => row.sampled += 1,
@@ -129,6 +133,7 @@ fn row_json(name: &str, row: &Row) -> Json {
         ("design", Json::str(name)),
         ("candidates", Json::int(row.candidates)),
         ("proved", Json::int(row.proved)),
+        ("cut_proved", Json::int(row.cut_proved)),
         ("sampled", Json::int(row.sampled)),
         ("skipped", Json::int(row.skipped)),
         ("violations", Json::int(row.violations)),
@@ -151,10 +156,11 @@ fn main() -> ExitCode {
     for &name in BUNDLED_NAMES {
         let row = run_design(name, &args);
         println!(
-            "  {name:>9}: {} candidate(s): {} proved, {} sampled, {} skipped, \
+            "  {name:>9}: {} candidate(s): {} proved ({} by cuts), {} sampled, {} skipped, \
              {} violation(s); peak {} nodes; {:.1} ms",
             row.candidates,
             row.proved,
+            row.cut_proved,
             row.sampled,
             row.skipped,
             row.violations,
@@ -165,6 +171,7 @@ fn main() -> ExitCode {
     }
 
     let proved: usize = rows.iter().map(|(_, r)| r.proved).sum();
+    let cut_proved: usize = rows.iter().map(|(_, r)| r.cut_proved).sum();
     let sampled: usize = rows.iter().map(|(_, r)| r.sampled).sum();
     let violations: usize = rows.iter().map(|(_, r)| r.violations).sum();
     let checked = proved + sampled + violations;
@@ -173,7 +180,10 @@ fn main() -> ExitCode {
     } else {
         proved as f64 / checked as f64
     };
-    println!("proved-by-BDD ratio: {ratio:.4} ({proved}/{checked} checked steps)");
+    println!(
+        "proved-by-BDD ratio: {ratio:.4} ({proved}/{checked} checked steps, \
+         {cut_proved} by cuts)"
+    );
 
     if let Some(path) = &args.json {
         let doc = Json::obj([
@@ -185,7 +195,8 @@ fn main() -> ExitCode {
                      symbolic check on oiso_boolex::Bdd over a fixed variable order with \
                      CheckConfig::default() apart from node_budget, each miter XORed in \
                      the check's own manager; peak_nodes = largest allocated table of any \
-                     step; proved = exhaustive BDD proof, sampled = budget fallback to \
+                     step; proved = exhaustive BDD proof, cut_proved = the proved steps the \
+                     arithmetic cut-point phase closed, sampled = budget fallback to \
                      differential vectors; the check gate requires \
                      proved/(proved+sampled+violations) >= proved_gate and zero violations",
                 ),
@@ -193,6 +204,7 @@ fn main() -> ExitCode {
             ("node_budget", Json::int(args.budget)),
             ("proved_gate", Json::num(PROVED_GATE)),
             ("proved", Json::int(proved)),
+            ("cut_proved", Json::int(cut_proved)),
             ("sampled", Json::int(sampled)),
             ("violations", Json::int(violations)),
             ("proved_ratio", Json::num(ratio)),

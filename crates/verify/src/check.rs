@@ -27,12 +27,13 @@
 //!
 //! The check runs in two phases. First an *arithmetic cut-point* phase
 //! ([`CheckConfig::arithmetic_cuts`]) abstracts every arithmetic cell the
-//! two netlists share by name into free output variables guarded by an
-//! operand-equality condition — the exact shape an isolation step
-//! produces, provable without ever constructing a multiplier's
-//! exponential function. Only when that phase is inconclusive does the
-//! checker fall back to the monolithic miter over the real functions
-//! (which alone can produce counterexamples or exhaust the budget).
+//! two netlists share by name into free output variables guarded by a
+//! condition that implies operand equality — the exact shape an
+//! isolation step produces, provable without ever constructing a
+//! multiplier's exponential function. Only when that phase is
+//! inconclusive does the checker fall back to the monolithic miter over
+//! the real functions (which alone can produce counterexamples or exhaust
+//! the budget).
 //!
 //! Each phase builds both sides in one manager over a fixed variable
 //! order, so a miter is a plain `xor` of two handles in that manager:
@@ -64,12 +65,12 @@ pub struct CheckConfig {
     /// Tries an *arithmetic cut-point* proof before the monolithic miter
     /// (default true). The pre/post netlists of an isolation step share
     /// every arithmetic cell by instance name, so each matched pair is
-    /// modeled as one free output vector guarded by an operand-equality
-    /// condition (see [`build_symbolic_with_cuts`]) — the checker proves
-    /// the shallow logic *around* a multiplier without ever building its
-    /// exponential function. Sound for `Equivalent`; any non-FALSE
-    /// abstract miter silently falls back to the concrete check, which
-    /// alone may report counterexamples or exhaust the budget.
+    /// modeled as one free output vector guarded by a condition that
+    /// implies operand equality (see [`build_symbolic_with_cuts`]) — the
+    /// checker proves the shallow logic *around* a multiplier without ever
+    /// building its exponential function. Sound for `Equivalent`; any
+    /// non-FALSE abstract miter silently falls back to the concrete check,
+    /// which alone may report counterexamples or exhaust the budget.
     pub arithmetic_cuts: bool,
 }
 
@@ -92,6 +93,9 @@ pub struct CheckStats {
     pub reordered: usize,
     /// High-water mark of allocated nodes over the whole check.
     pub peak_nodes: usize,
+    /// True when the arithmetic cut-point phase proved the pair, so the
+    /// concrete phase never ran.
+    pub cut_proved: bool,
 }
 
 /// Outcome of [`check_equivalence`].
@@ -214,6 +218,7 @@ pub fn check_equivalence_with_stats(
         let verdict = run_abstract_check(&mut bdd, &mut table, original, transformed, config);
         stats.peak_nodes = bdd.peak_nodes();
         if let Some(v) = verdict {
+            stats.cut_proved = true;
             return (v, stats);
         }
     }
@@ -601,6 +606,124 @@ mod tests {
         };
         let v = check_equivalence(&orig, &iso, &config);
         assert!(v.is_equivalent(), "got {v:?}");
+    }
+
+    /// A 16-bit cascade: the candidate `s1 = a + b` feeds `s2 = s1 * c`,
+    /// `s3 = s2 - d` and `s4 = s3 + e`, then a `sel` mux into a
+    /// `g`-enabled register.
+    fn cascade() -> Netlist {
+        let mut b = NetlistBuilder::new("cascade");
+        let [a, bb, c, d, e, f] = ["a", "b", "c", "d", "e", "f"].map(|n| b.input(n, 16));
+        let sel = b.input("sel", 1);
+        let g = b.input("g", 1);
+        let [s1, s2, s3, s4, m, q] = ["s1", "s2", "s3", "s4", "m", "q"].map(|n| b.wire(n, 16));
+        b.cell("add1", CellKind::Add, &[a, bb], s1).unwrap();
+        b.cell("mul2", CellKind::Mul, &[s1, c], s2).unwrap();
+        b.cell("sub3", CellKind::Sub, &[s2, d], s3).unwrap();
+        b.cell("add4", CellKind::Add, &[s3, e], s4).unwrap();
+        b.cell("mux", CellKind::Mux, &[sel, f, s4], m).unwrap();
+        b.cell("r", CellKind::Reg { has_enable: true }, &[m, g], q)
+            .unwrap();
+        b.mark_output(q);
+        b.build().unwrap()
+    }
+
+    /// Verifies the one-step plan isolating `add1` in `n` under
+    /// `activation` (the derived one when `None`).
+    fn isolate_add1(
+        n: &Netlist,
+        activation: Option<BoolExpr>,
+        node_budget: usize,
+    ) -> crate::CandidateCheck {
+        use oiso_core::{derive_activation_functions, ActivationConfig, IsolationStyle};
+        let add1 = n.find_cell("add1").unwrap();
+        let activation = activation.unwrap_or_else(|| {
+            derive_activation_functions(n, &ActivationConfig::default())[&add1].clone()
+        });
+        let config = crate::VerifyConfig {
+            check: CheckConfig {
+                node_budget,
+                ..CheckConfig::default()
+            },
+            ..crate::VerifyConfig::default()
+        };
+        let plan = [(add1, activation, IsolationStyle::And)];
+        let (_, mut checks) = crate::verify_isolation_plan(n, &plan, &config).unwrap();
+        checks.remove(0)
+    }
+
+    #[test]
+    fn cascade_proves_in_the_cut_phase() {
+        // Each downstream cut reuses its upstream cut's guard, so the
+        // proof peaks near 2.6k nodes. XOR-ing every operand word instead
+        // peaked near 50k, past this budget, and the multiplier puts the
+        // concrete phase far past it too: that rule could only sample.
+        let check = isolate_add1(&cascade(), None, 10_000);
+        assert!(
+            matches!(
+                check.outcome,
+                crate::VerifyOutcome::Verified(crate::Proof::Bdd { .. })
+            ),
+            "got {:?}",
+            check.outcome
+        );
+        assert!(check.stats.cut_proved);
+        assert!(check.stats.peak_nodes <= 10_000, "{:?}", check.stats);
+    }
+
+    #[test]
+    fn sabotaged_cascade_is_refuted_with_a_confirmed_witness() {
+        let check = isolate_add1(&cascade(), Some(BoolExpr::FALSE), 10_000);
+        let crate::VerifyOutcome::Violation { replay, .. } = &check.outcome else {
+            panic!("expected a violation, got {:?}", check.outcome);
+        };
+        assert!(
+            matches!(replay, crate::ReplayVerdict::Confirmed { .. }),
+            "witness must reproduce concretely: {replay:?}"
+        );
+        assert!(!check.stats.cut_proved);
+    }
+
+    #[test]
+    fn a_cut_rewired_to_another_guarded_cut_is_refuted() {
+        // Original: d = (x + y) + w. Transformed: the isolated `s2 = x - z`
+        // (guarded, since its operands are masked by g) drives `d` in
+        // place of `s1`. The port of `d` is the output of a guarded cut,
+        // but the original side reads `s1`'s variables, not `s2`'s, so the
+        // guard of `s2` must not stand in for the operand equality.
+        let build = |rewired: bool| {
+            let mut b = NetlistBuilder::new("rewire");
+            let [x, y, z, w] = ["x", "y", "z", "w"].map(|n| b.input(n, 8));
+            let g = b.input("g", 1);
+            let [s1, s2, d, q1, q2, q3] = ["s1", "s2", "d", "q1", "q2", "q3"].map(|n| b.wire(n, 8));
+            let (xs, zs) = if rewired {
+                let [gm, xm, zm] = ["gm", "xm", "zm"].map(|n| b.wire(n, 8));
+                let rep: Vec<NetId> = (0..8).map(|_| g).collect();
+                b.cell("rep", CellKind::Concat, &rep, gm).unwrap();
+                b.cell("mx", CellKind::And, &[x, gm], xm).unwrap();
+                b.cell("mz", CellKind::And, &[z, gm], zm).unwrap();
+                (xm, zm)
+            } else {
+                (x, z)
+            };
+            b.cell("add1", CellKind::Add, &[x, y], s1).unwrap();
+            b.cell("sub2", CellKind::Sub, &[xs, zs], s2).unwrap();
+            let from = if rewired { s2 } else { s1 };
+            b.cell("add3", CellKind::Add, &[from, w], d).unwrap();
+            for (i, (src, q)) in [(s1, q1), (s2, q2), (d, q3)].into_iter().enumerate() {
+                let kind = CellKind::Reg { has_enable: true };
+                b.cell(format!("r{i}"), kind, &[src, g], q).unwrap();
+                b.mark_output(q);
+            }
+            b.build().unwrap()
+        };
+        let (orig, rewired) = (build(false), build(true));
+        let (v, stats) = check_equivalence_with_stats(&orig, &rewired, &CheckConfig::default());
+        let Verdict::NotEquivalent(cex) = v else {
+            panic!("expected a counterexample, got {v:?}");
+        };
+        assert!(!stats.cut_proved);
+        assert!(cex.observable.starts_with("q3'"), "{}", cex.observable);
     }
 
     #[test]

@@ -301,9 +301,10 @@ struct CutCell {
 ///
 /// Passed back in as the `baseline` when building the *other* netlist of
 /// an equivalence pair: a cell matched by name, kind, and port shape is
-/// then modeled as `ite(operands-equal, baseline-vars, fresh-vars)`
-/// instead of its concrete function — functional consistency without ever
-/// constructing the (for multipliers, exponential) function itself.
+/// then modeled as `ite(guard, baseline-vars, fresh-vars)`, the guard
+/// implying equal operands, instead of its concrete function — functional
+/// consistency without ever constructing the (for multipliers,
+/// exponential) function itself.
 #[derive(Debug, Default)]
 pub struct CutBuild {
     cells: HashMap<String, CutCell>,
@@ -331,16 +332,25 @@ impl CutBuild {
 /// settled functions of its operands are recorded in the returned
 /// [`CutBuild`]. With `baseline = Some` (the transformed netlist), a cell
 /// whose name, kind, and port shape match a recorded cut is modeled as
-/// `ite(eq, v, v')` per bit — `eq` conjoining bitwise equality of the two
-/// sides' operand functions, `v` the baseline's variables, `v'` fresh
-/// ones. Unmatched arithmetic cells are evaluated concretely.
+/// `ite(eq, v, v')` per bit — `eq` its *guard*, `v` the baseline's
+/// variables, `v'` fresh ones. Unmatched arithmetic cells are evaluated
+/// concretely.
+///
+/// The guard conjoins one term per operand port. A port driven by an
+/// upstream matched cut `j` whose guard `eq_j` is not TRUE, where the
+/// baseline's port is `j`'s own variables `v_j`, contributes `eq_j`: the
+/// port then reads `ite(eq_j, v_j, v'_j)`, which equals `v_j` wherever
+/// `eq_j` holds. Every other port contributes bitwise equality of the two
+/// sides' functions. Reusing `eq_j` keeps a cascade's guards from
+/// compounding, as they do when each cell XORs its upstream `ite` words.
 ///
 /// The abstraction is *sound for equivalence*: any pair of concrete
-/// functions is an instance of it (equal operands force equal outputs;
-/// nothing else is assumed), so a FALSE miter over the abstraction is
-/// FALSE for the real netlists. It is incomplete — a non-FALSE miter may
-/// be an abstraction artifact, so callers must fall back to the concrete
-/// check rather than report a counterexample.
+/// functions is an instance of it (the guard implies equal operands,
+/// which force equal outputs; nothing else is assumed), so a FALSE miter
+/// over the abstraction is FALSE for the real netlists. A guard stronger
+/// than operand equality only leaves more outputs free. It is incomplete
+/// — a non-FALSE miter may be an abstraction artifact, so callers must
+/// fall back to the concrete check rather than report a counterexample.
 ///
 /// # Errors
 ///
@@ -356,6 +366,9 @@ pub fn build_symbolic_with_cuts(
 ) -> Result<(SymbolicNetlist, CutBuild), BudgetExceeded> {
     let mut bits: Vec<Vec<BddRef>> = vec![Vec::new(); netlist.num_nets()];
     let mut cuts = CutBuild::default();
+    // Transformed side: the guard and baseline variables of every matched
+    // cut whose guard is not TRUE, by the cut's output net.
+    let mut guards: HashMap<NetId, (BddRef, &[BddRef])> = HashMap::new();
     let side = if baseline.is_some() { "'" } else { "" };
     for (nid, net) in netlist.nets() {
         if net.is_primary_input() {
@@ -418,16 +431,28 @@ pub fn build_symbolic_with_cuts(
                             .all(|(a, b)| a.len() == b.len()) =>
                 {
                     let mut eq = BddRef::TRUE;
-                    for (base_in, this_in) in base.operands.iter().zip(&ins) {
-                        for (&a, &b) in base_in.iter().zip(this_in) {
-                            let x = bdd.xor(a, b);
-                            let same = bdd.not(x);
-                            eq = bdd.and(eq, same);
+                    let ports = base.operands.iter().zip(&ins).zip(cell.inputs());
+                    for ((base_in, this_in), net) in ports {
+                        // A port driven by an upstream matched cut whose
+                        // original side reads that cut's own variables
+                        // agrees wherever the upstream guard holds.
+                        match guards.get(net) {
+                            Some(&(guard, vars)) if base_in.as_slice() == vars => {
+                                eq = bdd.and(eq, guard);
+                            }
+                            _ => {
+                                for (&a, &b) in base_in.iter().zip(this_in) {
+                                    let x = bdd.xor(a, b);
+                                    let same = bdd.not(x);
+                                    eq = bdd.and(eq, same);
+                                }
+                            }
                         }
                     }
                     if eq == BddRef::TRUE {
                         base.outputs.clone()
                     } else {
+                        guards.insert(cell.output(), (eq, base.outputs.as_slice()));
                         (0..w)
                             .map(|b| {
                                 let sig = table.intern_cut(cell.name(), side, b);

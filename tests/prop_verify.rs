@@ -11,11 +11,12 @@
 
 use operand_isolation::boolex::BoolExpr;
 use operand_isolation::core::{
-    derive_activation_functions, ActivationConfig, IsolationStyle,
+    derive_activation_functions, optimize, ActivationConfig, IsolationConfig, IsolationStyle,
 };
+use operand_isolation::designs::random::{self, RandomParams};
 use operand_isolation::netlist::{CellKind, Netlist, NetlistBuilder};
 use operand_isolation::verify::{
-    run_case, FuzzConfig, ReplayVerdict, VerifyConfig, VerifyOutcome,
+    run_case, FuzzConfig, Proof, ReplayVerdict, VerifyConfig, VerifyOutcome,
     verify_isolation_plan,
 };
 use proptest::prelude::*;
@@ -100,4 +101,54 @@ proptest! {
             verify_isolation_plan(&n, &plan, &VerifyConfig::default()).unwrap();
         prop_assert!(checks[0].outcome.is_verified(), "{:?}", checks[0].outcome);
     }
+}
+
+/// FNV-1a over `seed`'s bytes then `name`'s bytes: the per-design
+/// stimulus seed the end-to-end benchmark derives for each design label.
+fn fnv(seed: u64, name: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in seed.to_le_bytes().into_iter().chain(name.bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// The eight random 48-op, 16-bit datapaths of the benchmark's `scaled`
+/// workload, stimulated as at `--seed 1`: every step `optimize()` accepts
+/// proves by BDD at the default budget. Structure 1000's step `u2` feeds
+/// a cascade of arithmetic cells, and proves only because each
+/// downstream cut reuses its upstream cut's guard.
+#[test]
+fn scaled_workload_plans_prove_every_step_by_bdd() {
+    const STRUCTURES: [u64; 8] = [1000, 1003, 1006, 1010, 1011, 1014, 1024, 1037];
+    let config = IsolationConfig::default().with_threads(2);
+    let mut steps = 0;
+    for (i, structure) in STRUCTURES.into_iter().enumerate() {
+        let design = random::build(&RandomParams {
+            seed: structure,
+            ops: 48,
+            width: 16,
+        })
+        .with_seed(fnv(1, &format!("random{i}")));
+        let outcome = optimize(&design.netlist, &design.stimuli, &config).unwrap();
+        let plan: Vec<_> = outcome
+            .isolated
+            .iter()
+            .map(|r| (r.candidate, r.activation.clone(), r.style))
+            .collect();
+        let (last, checks) =
+            verify_isolation_plan(&design.netlist, &plan, &VerifyConfig::default()).unwrap();
+        assert_eq!(last.fingerprint(), outcome.netlist.fingerprint());
+        for check in &checks {
+            assert!(
+                matches!(check.outcome, VerifyOutcome::Verified(Proof::Bdd { .. })),
+                "structure {structure}, step {}: {:?}",
+                check.candidate,
+                check.outcome
+            );
+        }
+        steps += checks.len();
+    }
+    assert_eq!(steps, 51);
 }
