@@ -80,37 +80,65 @@ impl std::str::FromStr for EngineKind {
     }
 }
 
-/// The uniform surface the testbench drives: each engine exposes
-/// per-cycle input application, combinational settling, the clock edge,
-/// and the settled value arena.
+/// Cycles per block of the testbench loop, one per bit of a `u64`:
+/// engines simulate a block at a time, and monitors and conditional
+/// toggles are evaluated once per block, on one bit-plane word per signal.
+pub const BLOCK: usize = 64;
+
+/// The uniform surface the testbench drives: a column arena of [`BLOCK`]
+/// words per net, `columns[net * BLOCK + t]` being the net's value in
+/// cycle `t` of the current block.
 pub(crate) trait SimBackend {
-    /// Sets the primary input with net index `index` for the current
-    /// cycle. Unchecked: the caller has verified that the net is a primary
-    /// input and masked `value` to its width.
-    fn write_input(&mut self, index: usize, value: u64);
-    /// Evaluates all combinational logic for the current cycle.
-    fn settle(&mut self);
-    /// Advances the clock (registers sample D).
-    fn clock_edge(&mut self);
-    /// Settled per-net values, indexed by `NetId::index()`.
-    fn values(&mut self) -> &[u64];
+    /// The arena, for writing the primary-input columns. Unchecked: the
+    /// caller writes only primary inputs' columns, masked to their widths.
+    fn columns_mut(&mut self) -> &mut [u64];
+    /// Simulates the block's first `n` cycles (`1 ..= BLOCK`): each cycle
+    /// settles the logic on the input columns and then clocks the
+    /// registers, leaving every net's settled values in its column.
+    fn run_block(&mut self, n: usize);
+    /// The arena after [`SimBackend::run_block`].
+    fn columns(&self) -> &[u64];
 }
 
-impl SimBackend for Simulator<'_> {
-    fn write_input(&mut self, index: usize, value: u64) {
-        self.values[index] = value;
+/// The scalar oracle behind the block surface: it steps the block's cycles
+/// one at a time and scatters each cycle's settled values into the
+/// columns, so one testbench loop serves both engines.
+#[derive(Debug)]
+pub(crate) struct ScalarColumns<'a> {
+    sim: Simulator<'a>,
+    columns: Vec<u64>,
+}
+
+impl<'a> ScalarColumns<'a> {
+    pub(crate) fn new(netlist: &'a Netlist) -> Self {
+        ScalarColumns {
+            sim: Simulator::new(netlist),
+            columns: vec![0; netlist.num_nets() * BLOCK],
+        }
+    }
+}
+
+impl SimBackend for ScalarColumns<'_> {
+    fn columns_mut(&mut self) -> &mut [u64] {
+        &mut self.columns
     }
 
-    fn settle(&mut self) {
-        Simulator::settle(self);
+    fn run_block(&mut self, n: usize) {
+        let sim = &mut self.sim;
+        for t in 0..n {
+            for &pi in sim.netlist.primary_inputs() {
+                sim.values[pi.index()] = self.columns[pi.index() * BLOCK + t];
+            }
+            sim.settle();
+            for (net, &v) in sim.values.iter().enumerate() {
+                self.columns[net * BLOCK + t] = v;
+            }
+            sim.clock_edge();
+        }
     }
 
-    fn clock_edge(&mut self) {
-        Simulator::clock_edge(self);
-    }
-
-    fn values(&mut self) -> &[u64] {
-        &self.values
+    fn columns(&self) -> &[u64] {
+        &self.columns
     }
 }
 
@@ -126,18 +154,25 @@ pub struct Simulator<'a> {
     values: Vec<u64>,
     state: Vec<u64>, // per cell: register/latch stored value
     input_scratch: Vec<u64>,
+    /// The registers, in cell order, and each one's next state, filled by
+    /// the first phase of [`Simulator::clock_edge`].
+    regs: Vec<CellId>,
+    reg_next: Vec<u64>,
     cycle: u64,
 }
 
 impl<'a> Simulator<'a> {
     /// Creates a simulator with all nets and state at 0.
     pub fn new(netlist: &'a Netlist) -> Self {
+        let regs: Vec<CellId> = netlist.registers().collect();
         Simulator {
             netlist,
             topo: comb_topo_order(netlist),
             values: vec![0; netlist.num_nets()],
             state: vec![0; netlist.num_cells()],
             input_scratch: Vec::with_capacity(8),
+            reg_next: vec![0; regs.len()],
+            regs,
             cycle: 0,
         }
     }
@@ -208,24 +243,20 @@ impl<'a> Simulator<'a> {
     /// enables) and drive the new state. Call after [`Simulator::settle`].
     pub fn clock_edge(&mut self) {
         // Two phases so that register-to-register paths sample consistently.
-        let mut updates: Vec<(CellId, u64)> = Vec::new();
-        for (cid, cell) in self.netlist.cells() {
-            if let CellKind::Reg { has_enable } = cell.kind() {
-                let d = self.values[cell.inputs()[0].index()];
-                let load = if has_enable {
-                    self.values[cell.inputs()[1].index()] & 1 == 1
-                } else {
-                    true
-                };
-                if load {
-                    updates.push((cid, d));
-                }
-            }
+        // A register that does not load keeps its state, which its output
+        // net already carries.
+        for (next, &cid) in self.reg_next.iter_mut().zip(&self.regs) {
+            let cell = self.netlist.cell(cid);
+            let load = cell.enable().is_none_or(|en| self.values[en.index()] & 1 == 1);
+            *next = if load {
+                self.values[cell.inputs()[0].index()]
+            } else {
+                self.state[cid.index()]
+            };
         }
-        for (cid, d) in updates {
-            self.state[cid.index()] = d;
-            let out = self.netlist.cell(cid).output().index();
-            self.values[out] = d;
+        for (&next, &cid) in self.reg_next.iter().zip(&self.regs) {
+            self.state[cid.index()] = next;
+            self.values[self.netlist.cell(cid).output().index()] = next;
         }
         self.cycle += 1;
     }

@@ -11,6 +11,7 @@
 //! many frames had the bit set (ones) and how many frames changed it from
 //! the frame before (toggles, via `popcount(frame[t] ^ frame[t+1])`).
 
+use crate::engine::BLOCK;
 use oiso_netlist::{NetId, Netlist};
 use std::collections::HashMap;
 
@@ -18,10 +19,11 @@ use std::collections::HashMap;
 /// per-lane counts up to `2^VC_DEPTH − 1` between flushes.
 const VC_DEPTH: usize = 16;
 
-/// Cycles between vertical-counter flushes. Each per-word counter gets at
-/// most one addition per cycle, so counts stay below
-/// `FLUSH_INTERVAL = 1000 < 2^16 − 1` with a wide safety margin (kept low
-/// so routine tests cross the flush boundary).
+/// Most cycles between vertical-counter flushes. Each per-word counter
+/// gets at most one addition per cycle, so counts stay at most
+/// `FLUSH_INTERVAL = 1000 < 2^10`: the bank's branchless ripple covers
+/// them, with a wide margin below `2^16 − 1` (kept low so routine tests
+/// cross the flush boundary).
 const FLUSH_INTERVAL: u64 = 1000;
 
 /// Drains a vertical counter into per-lane accumulators and zeroes it.
@@ -39,9 +41,6 @@ fn vc_flush(vc: &mut [u64], acc: &mut [u64]) {
     }
 }
 
-/// Number of settled frames buffered between counter compressions.
-const FRAME_BATCH: usize = 16;
-
 /// One carry-save adder step: returns `(sum, carry)` of three bit vectors.
 #[inline(always)]
 fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
@@ -49,75 +48,50 @@ fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
     (u ^ c, (a & b) | (c & u))
 }
 
-/// Compresses `n` buffered frames (zero-padded to [`FRAME_BATCH`]) into a
-/// level-major counter bank. With `xor_prev` set, each frame is first
-/// XOR-ed against its predecessor (toggle counting); `prev.0` seeds the
-/// chain unless `prev.1` says there is no preceding frame.
-fn compress_frames(
-    bank: &mut [Vec<u64>],
-    hist: &[u64],
-    total_bits: usize,
-    n: usize,
-    xor_prev: Option<(&[u64], bool)>,
-) {
-    for w in 0..total_bits {
-        let mut d = [0u64; FRAME_BATCH];
-        match xor_prev {
-            Some((prev_last, has_prev)) => {
-                let mut p = prev_last[w];
-                for (t, slot) in d.iter_mut().take(n).enumerate() {
-                    let cur = hist[t * total_bits + w];
-                    *slot = cur ^ p;
-                    p = cur;
-                }
-                if !has_prev {
-                    d[0] = 0;
-                }
-            }
-            None => {
-                for (t, slot) in d.iter_mut().take(n).enumerate() {
-                    *slot = hist[t * total_bits + w];
-                }
-            }
-        }
-        // Harley–Seal: fold 16 inputs into ones/twos/fours/eights/sixteens.
-        let (mut ones, mut twos, mut fours, mut eights, mut sixteens) = (0u64, 0, 0, 0, 0);
-        let mut i = 0;
-        while i < FRAME_BATCH {
-            let (o1, t1) = csa(ones, d[i], d[i + 1]);
-            let (o2, t2) = csa(o1, d[i + 2], d[i + 3]);
-            let (tw1, f1) = csa(twos, t1, t2);
-            let (o3, t3) = csa(o2, d[i + 4], d[i + 5]);
-            let (o4, t4) = csa(o3, d[i + 6], d[i + 7]);
-            let (tw2, f2) = csa(tw1, t3, t4);
-            let (fo, e) = csa(fours, f1, f2);
-            let (ei, sx) = csa(eights, e, 0);
-            ones = o4;
-            twos = tw2;
-            fours = fo;
-            eights = ei;
-            sixteens |= sx;
-            i += 8;
-        }
-        // Add the 5-level number into the bank: branchless ripple through
-        // level 9 (counts stay < 2^10 between flushes), sparse tail above.
-        let num = [ones, twos, fours, eights, sixteens];
-        let mut c = 0u64;
-        for (k, slot) in bank.iter_mut().enumerate().take(10) {
-            let x = if k < num.len() { num[k] } else { 0 };
-            let s = slot[w];
-            let (lo, hi) = csa(s, x, c);
-            slot[w] = lo;
-            c = hi;
-        }
-        let mut k = 10;
-        while c != 0 {
-            debug_assert!(k < bank.len(), "vertical counter overflow");
-            let t = bank[k][w];
-            bank[k][w] = t ^ c;
-            c &= t;
-            k += 1;
-        }
+/// Adds, per lane, the number of set bits among the block's 64 frame words
+/// `d` into word `w` of a level-major counter bank.
+fn count_into(bank: &mut [Vec<u64>], w: usize, d: &[u64; BLOCK]) {
+    // Harley–Seal: fold 8 inputs at a time into ones/twos/fours/eights;
+    // each step's carry out of the eights is half-added into a 3-level
+    // count of sixteens (a block adds at most 64 per lane).
+    let (mut ones, mut twos, mut fours, mut eights) = (0u64, 0, 0, 0);
+    let (mut s16, mut s32, mut s64) = (0u64, 0, 0);
+    for i in (0..BLOCK).step_by(8) {
+        let (o1, t1) = csa(ones, d[i], d[i + 1]);
+        let (o2, t2) = csa(o1, d[i + 2], d[i + 3]);
+        let (tw1, f1) = csa(twos, t1, t2);
+        let (o3, t3) = csa(o2, d[i + 4], d[i + 5]);
+        let (o4, t4) = csa(o3, d[i + 6], d[i + 7]);
+        let (tw2, f2) = csa(tw1, t3, t4);
+        let (fo, e) = csa(fours, f1, f2);
+        let (ei, sx) = csa(eights, e, 0);
+        ones = o4;
+        twos = tw2;
+        fours = fo;
+        eights = ei;
+        let c16 = s16 & sx;
+        s16 ^= sx;
+        let c32 = s32 & c16;
+        s32 ^= c16;
+        s64 |= c32;
+    }
+    // Add the 7-level number into the bank: branchless ripple through
+    // level 9 (counts stay < 2^10 between flushes), sparse tail above.
+    let num = [ones, twos, fours, eights, s16, s32, s64];
+    let mut c = 0u64;
+    for (k, slot) in bank.iter_mut().enumerate().take(10) {
+        let x = num.get(k).copied().unwrap_or(0);
+        let (lo, hi) = csa(slot[w], x, c);
+        slot[w] = lo;
+        c = hi;
+    }
+    let mut k = 10;
+    while c != 0 {
+        debug_assert!(k < bank.len(), "vertical counter overflow");
+        let t = bank[k][w];
+        bank[k][w] = t ^ c;
+        c &= t;
+        k += 1;
     }
 }
 
@@ -127,26 +101,26 @@ fn compress_frames(
 /// time; a net that does not fit in the rest of the current word starts
 /// the next one. Net `n`'s bit `b` is then lane `shift + b` of word
 /// `word`, where `(word, shift) = place[n]`. Packing costs a shift and an
-/// OR per net and lets the kernel count several narrow nets per word.
+/// OR per net and cycle — one contiguous loop over each net's block column
+/// — and lets the kernel count several narrow nets per word.
 ///
-/// Frames are buffered [`FRAME_BATCH`] at a time; a Harley–Seal carry-save
-/// adder tree then compresses each word's 16 buffered values into a
-/// 5-level vertical number (counts 0..=16 per lane) in straight-line
-/// branchless code, which is added into a deep level-major counter bank.
-/// Amortized over the batch this is a few ops per word per cycle — far
-/// cheaper than maintaining the deep counters cycle by cycle, where every
-/// cycle pays its own carry propagation. Toggles are counted per word and
-/// lane too, and folded per net only at the end.
+/// A block's frames are packed word-major, so each word's 64 frame values
+/// sit side by side; a Harley–Seal carry-save adder tree compresses them
+/// into a 7-level vertical number (counts 0..=64 per lane) in
+/// straight-line branchless code, which is added into a deep level-major
+/// counter bank. Amortized over the block this is a few ops per word per
+/// cycle — far cheaper than maintaining the deep counters cycle by cycle,
+/// where every cycle pays its own carry propagation. Toggles are counted
+/// per word and lane too, and folded per net only at the end.
 pub(crate) struct NetCounters {
     place: Vec<(usize, u32)>,
     /// Words per frame.
     words: usize,
-    /// Frame ring: `hist[t * words + w]` is word `w` of buffered frame
-    /// `t`. `filled` frames are pending compression.
-    hist: Vec<u64>,
-    filled: usize,
-    /// Last word values of the previously compressed batch — the frame
-    /// toggles of the next batch's first frame are counted against.
+    /// The current block's frames, word-major: `frames[w * BLOCK + t]` is
+    /// word `w` of cycle `t`'s frame.
+    frames: Vec<u64>,
+    /// Last frame of the previous block, which the toggles of the next
+    /// block's first frame are counted against.
     prev_last: Vec<u64>,
     /// No frame precedes the very first one, so its toggle XOR is zero.
     has_prev: bool,
@@ -157,7 +131,8 @@ pub(crate) struct NetCounters {
     /// Flushed toggle and ones totals: `acc[w * 64 + lane]` for word `w`.
     toggle_acc: Vec<u64>,
     ones_acc: Vec<u64>,
-    cycles: u64,
+    /// Cycles counted since the last flush.
+    unflushed: u64,
 }
 
 impl NetCounters {
@@ -178,61 +153,53 @@ impl NetCounters {
         NetCounters {
             place,
             words,
-            hist: vec![0; FRAME_BATCH * words],
-            filled: 0,
+            frames: vec![0; words * BLOCK],
             prev_last: vec![0; words],
             has_prev: false,
             ones_vc: vec![vec![0; words]; VC_DEPTH],
             tog_vc: vec![vec![0; words]; VC_DEPTH],
             toggle_acc: vec![0; words * BITS as usize],
             ones_acc: vec![0; words * BITS as usize],
-            cycles: 0,
+            unflushed: 0,
         }
     }
 
-    /// Counts one cycle's settled values (indexed by net). Each value must
-    /// be masked to its net's width, as both engines keep them; stray high
-    /// bits would land in the next net's lanes.
-    pub(crate) fn add_cycle(&mut self, values: &[u64]) {
-        let frame = &mut self.hist[self.filled * self.words..(self.filled + 1) * self.words];
-        frame.fill(0);
-        for (&v, &(word, shift)) in values.iter().zip(&self.place) {
-            frame[word] |= v << shift;
+    /// Counts the first `n` cycles of a block of settled values, laid out
+    /// as columns: `columns[net * BLOCK + t]` is the net's value in cycle
+    /// `t`. Each value must be masked to its net's width, as both engines
+    /// keep them; stray high bits would land in the next net's lanes.
+    pub(crate) fn add_block(&mut self, columns: &[u64], n: usize) {
+        self.frames.fill(0);
+        for (col, &(word, shift)) in columns.chunks_exact(BLOCK).zip(&self.place) {
+            let row = &mut self.frames[word * BLOCK..][..BLOCK];
+            for (frame, &v) in row.iter_mut().zip(col) {
+                *frame |= v << shift;
+            }
         }
-        self.filled += 1;
-        if self.filled == FRAME_BATCH {
-            self.compress_pending();
+        for (w, row) in self.frames.chunks_exact(BLOCK).enumerate() {
+            let mut d = [0u64; BLOCK];
+            d[..n].copy_from_slice(&row[..n]);
+            count_into(&mut self.ones_vc, w, &d);
+            let mut prev = self.prev_last[w];
+            for (slot, &cur) in d.iter_mut().zip(&row[..n]) {
+                *slot = cur ^ prev;
+                prev = cur;
+            }
+            if !self.has_prev {
+                d[0] = 0;
+            }
+            self.prev_last[w] = prev;
+            count_into(&mut self.tog_vc, w, &d);
         }
-        self.cycles += 1;
-        if self.cycles.is_multiple_of(FLUSH_INTERVAL) {
+        self.has_prev = true;
+        self.unflushed += n as u64;
+        if self.unflushed + BLOCK as u64 > FLUSH_INTERVAL {
             self.flush();
         }
     }
 
-    /// Compresses any buffered frames into the vertical-counter banks.
-    fn compress_pending(&mut self) {
-        let n = self.filled;
-        if n == 0 {
-            return;
-        }
-        let words = self.words;
-        compress_frames(&mut self.ones_vc, &self.hist, words, n, None);
-        compress_frames(
-            &mut self.tog_vc,
-            &self.hist,
-            words,
-            n,
-            Some((&self.prev_last, self.has_prev)),
-        );
-        self.prev_last
-            .copy_from_slice(&self.hist[(n - 1) * words..n * words]);
-        self.has_prev = true;
-        self.filled = 0;
-    }
-
     /// Flushes every vertical counter into the per-lane accumulators.
     fn flush(&mut self) {
-        self.compress_pending();
         const LANES: usize = u64::BITS as usize;
         let mut tmp = [0u64; VC_DEPTH];
         for w in 0..self.words {
@@ -248,6 +215,7 @@ impl NetCounters {
             }
             vc_flush(&mut tmp, &mut self.toggle_acc[lanes]);
         }
+        self.unflushed = 0;
     }
 
     /// Per-net toggle totals and per-net, per-bit ones counts.
@@ -375,8 +343,8 @@ impl SimReport {
         self.cond_toggle_counts[index] += toggles;
     }
 
-    pub(crate) fn record_trace(&mut self, net: NetId, value: u64) {
-        self.traces.entry(net).or_default().push(value);
+    pub(crate) fn record_trace(&mut self, net: NetId, values: &[u64]) {
+        self.traces.entry(net).or_default().extend_from_slice(values);
     }
 
     /// Number of simulated cycles.
@@ -525,9 +493,10 @@ mod tests {
     }
 
     /// The Harley–Seal counters must agree with naive per-bit counting
-    /// across full and partial batches and mid-stream flushes, for many
-    /// frames of pseudo-random values on nets that share frame words and
-    /// nets that fill one.
+    /// across full and partial blocks, automatic and mid-stream flushes,
+    /// for many frames of pseudo-random values on nets that share frame
+    /// words and nets that fill one. Column words past a partial block's
+    /// length hold values too, which must not be counted.
     #[test]
     fn net_counters_match_naive_counts() {
         let mut b = NetlistBuilder::new("widths");
@@ -546,19 +515,23 @@ mod tests {
         let mut prev: Option<Vec<u64>> = None;
         let mut s = 0x243F_6A88_85A3_08D3u64;
         let mut cycle = 0u64;
-        // Several runs of frame counts that leave partial batches behind.
-        for run in [3usize, 16, 17, 40, 1, 15] {
-            for _ in 0..run {
-                let values: Vec<u64> = masks
-                    .iter()
-                    .map(|&m| {
-                        s ^= s << 13;
-                        s ^= s >> 7;
-                        s ^= s << 17;
-                        s & m
-                    })
-                    .collect();
-                counters.add_cycle(&values);
+        let mut columns = vec![0u64; masks.len() * BLOCK];
+        // Block lengths that leave partial blocks behind, then a stretch
+        // of full blocks that crosses the automatic flush.
+        let lengths = [3usize, 64, 17, 40, 1, 63, 15].into_iter().chain([64; 20]);
+        for (i, len) in lengths.enumerate() {
+            for t in 0..BLOCK {
+                for (net, &m) in masks.iter().enumerate() {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    columns[net * BLOCK + t] = s & m;
+                }
+            }
+            counters.add_block(&columns, len);
+            for t in 0..len {
+                let values: Vec<u64> =
+                    (0..masks.len()).map(|net| columns[net * BLOCK + t]).collect();
                 for (net, &cur) in values.iter().enumerate() {
                     for (bit, ones) in exp_ones[net].iter_mut().enumerate() {
                         *ones += (cur >> bit) & 1;
@@ -570,11 +543,13 @@ mod tests {
                 prev = Some(values);
                 cycle += 1;
             }
-            // Flush mid-stream: must compress the partial batch and keep
-            // toggle continuity into the next run.
-            counters.flush();
+            // Flush mid-stream now and then: toggles must stay continuous
+            // into the next block.
+            if i % 3 == 0 {
+                counters.flush();
+            }
         }
-        assert!(cycle > 64);
+        assert!(cycle > FLUSH_INTERVAL);
         assert_eq!(counters.words, 6, "packing shares and fills words");
         let (toggles, ones) = counters.finish(&n);
         assert_eq!(toggles, exp_toggles);

@@ -52,6 +52,16 @@ pub trait Stimulus {
     /// The value to drive in the given cycle. Called once per cycle, in
     /// increasing cycle order.
     fn next_value(&mut self, cycle: u64) -> u64;
+
+    /// Fills `out[t]` with the value of cycle `first_cycle + t`, for a
+    /// block of consecutive cycles. The default calls
+    /// [`Stimulus::next_value`] once per cycle, in order, so a block fill
+    /// draws exactly the values that per-cycle calls would.
+    fn fill(&mut self, first_cycle: u64, out: &mut [u64]) {
+        for (cycle, slot) in (first_cycle..).zip(out.iter_mut()) {
+            *slot = self.next_value(cycle);
+        }
+    }
 }
 
 /// A declarative, re-instantiable stimulus description.

@@ -1,6 +1,6 @@
 //! Testbench: stimulus + simulation + statistics in one call.
 
-use crate::engine::{EngineKind, SimBackend, Simulator};
+use crate::engine::{EngineKind, ScalarColumns, SimBackend, BLOCK};
 use crate::stats::{NetCounters, SimReport};
 use crate::stimulus::{Stimulus, StimulusError, StimulusPlan, StimulusSpec};
 use crate::tape::CompiledSim;
@@ -100,11 +100,6 @@ pub struct Testbench<'a> {
     captures: Vec<NetId>,
     default_seed: u64,
 }
-
-/// Cycles per block of the testbench loop, one per bit of a `u64`:
-/// monitors and conditional toggles are evaluated once per block, on one
-/// bit-plane word per signal.
-const BLOCK: usize = 64;
 
 impl fmt::Debug for Testbench<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -232,7 +227,7 @@ impl<'a> Testbench<'a> {
         let no_vcd = None::<&mut VcdWriter<std::io::Sink>>;
         match engine {
             EngineKind::Scalar => {
-                let mut sim = Simulator::new(self.netlist);
+                let mut sim = ScalarColumns::new(self.netlist);
                 self.run_loop(&mut sim, cycles, no_vcd)
             }
             EngineKind::Compiled => {
@@ -256,10 +251,11 @@ impl<'a> Testbench<'a> {
         self.run_loop(&mut sim, cycles, Some(vcd))
     }
 
-    /// The loop both engines run, in blocks of 64 cycles. Each cycle
-    /// drives the inputs, settles, counts the settled values and records
-    /// one bit per signal the monitors read; each block then evaluates
-    /// every monitor and condition once, on those 64-cycle bit-planes.
+    /// The loop both engines run, in blocks of 64 cycles. Each block
+    /// fills every driver's input column, simulates, and then reads the
+    /// settled columns: the counters pack them into frames, each signal
+    /// the monitors read becomes one 64-cycle bit-plane, and every monitor
+    /// and condition is evaluated once, on those bit-planes.
     fn run_loop<B: SimBackend, W: Write>(
         &mut self,
         sim: &mut B,
@@ -278,7 +274,7 @@ impl<'a> Testbench<'a> {
             }
         }
         // Drivers target primary inputs (checked when attached), so each
-        // writes straight into its arena slot, masked to the net's width.
+        // fills its column of the arena, masked to the net's width.
         let slots: Vec<(usize, u64)> = self
             .drivers
             .iter()
@@ -305,42 +301,46 @@ impl<'a> Testbench<'a> {
         support.sort_unstable();
         support.dedup();
         let mut planes = vec![0u64; support.len()];
-        // Per cycle of the block and conditional toggle monitor: the net's
-        // value XOR its value in the cycle before.
-        let conds = self.cond_toggles.len();
-        let mut cond_xor = vec![0u64; BLOCK * conds];
-        let mut cond_prev = vec![0u64; conds];
+        // Per conditional toggle monitor: the net's value in the last
+        // cycle of the previous block.
+        let mut cond_prev = vec![0u64; self.cond_toggles.len()];
         // Per monitor: its value in the last cycle of the previous block.
         let mut monitor_last = vec![0u64; self.monitors.len()];
-        let mut prev = vec![0u64; if vcd.is_some() { netlist.num_nets() } else { 0 }];
+        // Waveform rows: every net's value in one cycle, and in the cycle
+        // before.
+        let vcd_nets = if vcd.is_some() { netlist.num_nets() } else { 0 };
+        let (mut row, mut prev) = (vec![0u64; vcd_nets], vec![0u64; vcd_nets]);
         let mut block_start = 0u64;
         while block_start < cycles {
             let n = (cycles - block_start).min(BLOCK as u64) as usize;
-            planes.fill(0);
-            for t in 0..n {
-                let cycle = block_start + t as u64;
-                for (&(index, mask), (_, stim)) in slots.iter().zip(&mut self.drivers) {
-                    sim.write_input(index, stim.next_value(cycle) & mask);
+            let arena = sim.columns_mut();
+            for (&(index, mask), (_, stim)) in slots.iter().zip(&mut self.drivers) {
+                let col = &mut arena[index * BLOCK..][..n];
+                stim.fill(block_start, col);
+                col.iter_mut().for_each(|v| *v &= mask);
+            }
+            sim.run_block(n);
+            let arena = sim.columns();
+            let column = |net: NetId| &arena[net.index() * BLOCK..][..n];
+            counts.add_block(arena, n);
+            for (plane, s) in planes.iter_mut().zip(&support) {
+                *plane = column(s.net)
+                    .iter()
+                    .enumerate()
+                    .fold(0, |p, (t, &v)| p | ((v >> s.bit) & 1) << t);
+            }
+            for &net in &self.captures {
+                report.record_trace(net, column(net));
+            }
+            if let Some(w) = vcd.as_deref_mut() {
+                for t in 0..n {
+                    let cycle = block_start + t as u64;
+                    for (net, slot) in row.iter_mut().enumerate() {
+                        *slot = arena[net * BLOCK + t];
+                    }
+                    w.write_cycle(netlist, cycle, &row, (cycle > 0).then_some(prev.as_slice()))?;
+                    std::mem::swap(&mut row, &mut prev);
                 }
-                sim.settle();
-                let vals = sim.values();
-                counts.add_cycle(vals);
-                for (plane, s) in planes.iter_mut().zip(&support) {
-                    *plane |= ((vals[s.net.index()] >> s.bit) & 1) << t;
-                }
-                for (i, (_, net, _)) in self.cond_toggles.iter().enumerate() {
-                    let v = vals[net.index()];
-                    cond_xor[t * conds + i] = v ^ cond_prev[i];
-                    cond_prev[i] = v;
-                }
-                for &net in &self.captures {
-                    report.record_trace(net, vals[net.index()]);
-                }
-                if let Some(w) = vcd.as_deref_mut() {
-                    w.write_cycle(netlist, cycle, vals, (cycle > 0).then_some(prev.as_slice()))?;
-                    prev.copy_from_slice(vals);
-                }
-                sim.clock_edge();
             }
             let valid = u64::MAX >> (BLOCK - n);
             // No cycle precedes global cycle 0, so it has no transitions.
@@ -354,15 +354,18 @@ impl<'a> Testbench<'a> {
                 report.record_monitor(i, fired.count_ones() as u64, changed.count_ones() as u64);
                 monitor_last[i] = (fired >> (n - 1)) & 1;
             }
-            for (i, (_, _, condition)) in self.cond_toggles.iter().enumerate() {
+            for (i, (_, net, condition)) in self.cond_toggles.iter().enumerate() {
+                let col = column(*net);
                 let mut fired = condition.eval_word(&plane) & after_first;
                 let mut toggles = 0u64;
                 while fired != 0 {
                     let t = fired.trailing_zeros() as usize;
-                    toggles += cond_xor[t * conds + i].count_ones() as u64;
+                    let before = if t == 0 { cond_prev[i] } else { col[t - 1] };
+                    toggles += (col[t] ^ before).count_ones() as u64;
                     fired &= fired - 1;
                 }
                 report.record_cond_toggles(i, toggles);
+                cond_prev[i] = col[n - 1];
             }
             block_start += n as u64;
         }
