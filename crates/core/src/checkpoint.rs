@@ -23,7 +23,9 @@
 //! Each journal line is flushed as it is written, so the only loss mode
 //! of a killed run is a *torn final line*; the loader tolerates exactly
 //! that (an unparsable last line with no trailing newline) and treats any
-//! other malformation as corruption, which is a hard error.
+//! other malformation as corruption, which is a hard error. These rules
+//! live in [`JournalWriter`] and [`parse_journal`], which every JSONL
+//! journal shares — the fuzz journal of `oiso-verify` too.
 
 use crate::transform::IsolationStyle;
 use oiso_boolex::{BoolExpr, Signal};
@@ -196,11 +198,7 @@ impl Checkpoint {
     /// (no trailing newline) is tolerated and reported via
     /// [`Checkpoint::torn`], not an error.
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
-        let text = std::fs::read_to_string(path).map_err(|source| CheckpointError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        Self::parse(&text)
+        Self::parse(&read_journal(path)?)
     }
 
     /// Parses journal text (see [`Checkpoint::load`]).
@@ -209,29 +207,7 @@ impl Checkpoint {
     ///
     /// As [`Checkpoint::load`], minus I/O.
     pub fn parse(text: &str) -> Result<Checkpoint, CheckpointError> {
-        let complete = text.ends_with('\n');
-        let lines: Vec<&str> = text.lines().collect();
-        let Some((&first, rest)) = lines.split_first() else {
-            return Err(CheckpointError::MissingHeader);
-        };
-        let header = parse_header(first)?;
-        let mut steps = Vec::new();
-        let mut torn = false;
-        for (i, &line) in rest.iter().enumerate() {
-            let line_no = i + 2;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_step(line, line_no) {
-                Ok(step) => steps.push(step),
-                // Only the physically last line of an unterminated file can
-                // be a torn write; everything else is corruption.
-                Err(_) if !complete && i == rest.len() - 1 => {
-                    torn = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let (header, steps, torn) = parse_journal(text, parse_header, parse_step)?;
         Ok(Checkpoint {
             header,
             steps,
@@ -265,12 +241,107 @@ impl Checkpoint {
     }
 }
 
-/// Incremental journal writer: one flushed line per accepted step.
+/// Reads a whole journal file.
+///
+/// # Errors
+///
+/// [`CheckpointError::Io`].
+pub fn read_journal(path: &Path) -> Result<String, CheckpointError> {
+    std::fs::read_to_string(path).map_err(|source| CheckpointError::Io {
+        path: path.to_path_buf(),
+        source,
+    })
+}
+
+/// Parses JSONL journal text: line 1 through `header`, every further
+/// non-blank line through `record` (with its 1-based line number).
+/// Returns the header, the records in file order, and whether a torn
+/// final line was dropped.
+///
+/// This is the one tolerance rule of every journal: a journal is appended
+/// one flushed line at a time, so only the physically last line of a file
+/// without a trailing newline can be a torn write. That line is dropped
+/// when `record` rejects it; any other malformed line is corruption.
+///
+/// # Errors
+///
+/// [`CheckpointError::MissingHeader`] for empty text, and whatever
+/// `header` or `record` return for a line that is not a torn tail.
+pub fn parse_journal<H, R>(
+    text: &str,
+    header: impl FnOnce(&str) -> Result<H, CheckpointError>,
+    mut record: impl FnMut(&str, usize) -> Result<R, CheckpointError>,
+) -> Result<(H, Vec<R>, bool), CheckpointError> {
+    let complete = text.ends_with('\n');
+    let lines: Vec<&str> = text.lines().collect();
+    let Some((&first, rest)) = lines.split_first() else {
+        return Err(CheckpointError::MissingHeader);
+    };
+    let header = header(first)?;
+    let mut records = Vec::new();
+    let mut torn = false;
+    for (i, &line) in rest.iter().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match record(line, i + 2) {
+            Ok(r) => records.push(r),
+            Err(_) if !complete && i == rest.len() - 1 => torn = true,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((header, records, torn))
+}
+
+/// An append-only JSONL journal file: a header line, then one flushed
+/// line per record, so a killed run loses at most a torn final line
+/// (which [`parse_journal`] tolerates).
 #[derive(Debug)]
-pub struct CheckpointWriter {
+pub struct JournalWriter {
     path: PathBuf,
     file: BufWriter<File>,
 }
+
+impl JournalWriter {
+    /// Creates (truncating) the journal and writes `header` as its first
+    /// line.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`].
+    pub fn create(path: &Path, header: &str) -> Result<Self, CheckpointError> {
+        let file = File::create(path).map_err(|source| CheckpointError::Io {
+            path: path.to_path_buf(),
+            source,
+        })?;
+        let mut writer = JournalWriter {
+            path: path.to_path_buf(),
+            file: BufWriter::new(file),
+        };
+        writer.write_line(header)?;
+        Ok(writer)
+    }
+
+    /// Appends `line` and a newline, and flushes both.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`].
+    pub fn write_line(&mut self, line: &str) -> Result<(), CheckpointError> {
+        let io_err = |source| CheckpointError::Io {
+            path: self.path.clone(),
+            source,
+        };
+        self.file.write_all(line.as_bytes()).map_err(io_err)?;
+        self.file.write_all(b"\n").map_err(io_err)?;
+        self.file.flush().map_err(io_err)
+    }
+}
+
+/// Incremental optimizer journal writer: one flushed line per accepted
+/// step.
+#[derive(Debug)]
+pub struct CheckpointWriter(JournalWriter);
 
 impl CheckpointWriter {
     /// Creates (truncating) the journal and writes its header line.
@@ -279,23 +350,13 @@ impl CheckpointWriter {
     ///
     /// [`CheckpointError::Io`].
     pub fn create(path: &Path, header: &CheckpointHeader) -> Result<Self, CheckpointError> {
-        let io_err = |source| CheckpointError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
-        let file = File::create(path).map_err(io_err)?;
-        let mut writer = CheckpointWriter {
-            path: path.to_path_buf(),
-            file: BufWriter::new(file),
-        };
         let line = format!(
             "{{\"kind\":\"header\",\"version\":{},\"netlist\":\"{:016x}\",\
              \"stimulus\":\"{:016x}\",\"config\":\"{:016x}\",\"cycles\":{}}}",
             CHECKPOINT_VERSION, header.netlist_fp, header.plan_fp, header.config_fp,
             header.sim_cycles
         );
-        writer.write_line(&line)?;
-        Ok(writer)
+        JournalWriter::create(path, &line).map(CheckpointWriter)
     }
 
     /// Appends (and flushes) one accepted step.
@@ -314,17 +375,7 @@ impl CheckpointWriter {
             f64_hex(step.saved),
             f64_hex(step.power),
         );
-        self.write_line(&line)
-    }
-
-    fn write_line(&mut self, line: &str) -> Result<(), CheckpointError> {
-        let io_err = |source| CheckpointError::Io {
-            path: self.path.clone(),
-            source,
-        };
-        self.file.write_all(line.as_bytes()).map_err(io_err)?;
-        self.file.write_all(b"\n").map_err(io_err)?;
-        self.file.flush().map_err(io_err)
+        self.0.write_line(&line)
     }
 }
 
@@ -646,7 +697,12 @@ fn parse_string(
     }
 }
 
-fn field<'a>(
+/// The value of `key` among a [`parse_flat`] line's fields.
+///
+/// # Errors
+///
+/// [`CheckpointError::Format`] at `line` when the field is missing.
+pub fn field<'a>(
     fields: &'a [(String, JsonScalar)],
     key: &str,
     line: usize,
@@ -658,6 +714,25 @@ fn field<'a>(
         .ok_or_else(|| CheckpointError::Format {
             line,
             message: format!("missing field {key:?}"),
+        })
+}
+
+/// The integer value of `key` among a [`parse_flat`] line's fields.
+///
+/// # Errors
+///
+/// [`CheckpointError::Format`] at `line` when the field is missing or
+/// not an integer.
+pub fn int_field(
+    fields: &[(String, JsonScalar)],
+    key: &str,
+    line: usize,
+) -> Result<u64, CheckpointError> {
+    field(fields, key, line)?
+        .as_int()
+        .ok_or_else(|| CheckpointError::Format {
+            line,
+            message: format!("field {key:?} must be an integer"),
         })
 }
 
@@ -726,12 +801,7 @@ fn parse_step(line: &str, line_no: usize) -> Result<AcceptedStep, CheckpointErro
         })
     };
     Ok(AcceptedStep {
-        iteration: field(&fields, "iteration", line_no)?
-            .as_int()
-            .ok_or_else(|| CheckpointError::Format {
-                line: line_no,
-                message: "field \"iteration\" must be an integer".into(),
-            })? as usize,
+        iteration: int_field(&fields, "iteration", line_no)? as usize,
         cell: str_field("cell")?.to_string(),
         activation,
         h: hex_field("h")?,

@@ -28,7 +28,7 @@
 //! `markov <p1> <toggle-rate>`, `counter <step>`, `trace v1,v2,...`.
 
 use crate::Design;
-use oiso_netlist::{BuildError, CellKind, NetId, Netlist, NetlistBuilder};
+use oiso_netlist::{BuildError, CellKind, NetId, NetlistBuilder};
 use oiso_sim::{StimulusPlan, StimulusSpec};
 use std::collections::HashMap;
 use std::error::Error;
@@ -378,15 +378,6 @@ pub fn emit(design: &Design) -> String {
     }
     let _ = writeln!(out, "seed {}", design.stimuli.seed);
     out
-}
-
-/// Convenience: parse only the netlist (discarding stimuli).
-///
-/// # Errors
-///
-/// As [`parse`].
-pub fn parse_netlist(text: &str) -> Result<Netlist, ParseError> {
-    Ok(parse(text)?.netlist)
 }
 
 #[cfg(test)]

@@ -118,11 +118,6 @@ impl<R> TaskOutcome<R> {
             TaskOutcome::Panicked { .. } => None,
         }
     }
-
-    /// True when the item panicked.
-    pub fn is_panicked(&self) -> bool {
-        matches!(self, TaskOutcome::Panicked { .. })
-    }
 }
 
 /// Renders a panic payload as text: `&str` / `String` payloads verbatim,

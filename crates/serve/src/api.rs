@@ -452,7 +452,6 @@ impl ApiRequest {
                 node_budget: self.budget,
                 assumption: None,
                 deadline: deadline_at,
-                ..CheckConfig::default()
             },
             ..VerifyConfig::default()
         };

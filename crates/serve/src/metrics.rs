@@ -124,11 +124,6 @@ impl Metrics {
         self.panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total requests shed so far.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
     /// Renders the full `/metrics` page. `queue_depth` is sampled by the
     /// caller (the server owns the queue), as are the cache, sim-memo,
     /// and (when configured) result-store snapshots.

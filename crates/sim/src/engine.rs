@@ -278,11 +278,6 @@ impl<'a> Simulator<'a> {
     pub fn stored_state(&self, cell: CellId) -> u64 {
         self.state[cell.index()]
     }
-
-    /// Snapshot of all net values (used by the statistics collector).
-    pub fn all_values(&self) -> &[u64] {
-        &self.values
-    }
 }
 
 #[cfg(test)]

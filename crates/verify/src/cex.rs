@@ -2,9 +2,10 @@
 //!
 //! When the checker finds a satisfiable miter it walks one satisfying path
 //! of the BDD ([`Bdd::satisfy_one`]) and decodes the synthetic variables
-//! back into *named* input and state words via the [`VarTable`]. The result
-//! is a [`Counterexample`]: a human-readable witness that doubles as a
-//! [`VectorAssignment`] for concrete replay on either netlist.
+//! back into *named* input and state words via the checker's variable
+//! table. The result is a [`Counterexample`]: a human-readable witness
+//! that doubles as a [`VectorAssignment`] for concrete replay on either
+//! netlist.
 
 use crate::symb::{VarKind, VarTable};
 use oiso_boolex::{Bdd, BddRef};

@@ -7,12 +7,12 @@
 //! * every bit of every original stateful cell's **next state** — the value
 //!   the cell would store at the clock edge.
 //!
-//! Current states are modeled as shared free variables (see
-//! [`VarTable`]): the net `"q"` of the original and the
-//! net `"q"` of the transformed design read the *same* state variable.
-//! Because both simulators reset all state to 0, equal next states under an
-//! arbitrary shared current state is an induction step — together with the
-//! equal reset base it yields full sequential equivalence, cycle by cycle.
+//! Current states are modeled as shared free variables: the net `"q"` of
+//! the original and the net `"q"` of the transformed design read the
+//! *same* state variable. Because both simulators reset all state to 0,
+//! equal next states under an arbitrary shared current state is an
+//! induction step — together with the equal reset base it yields full
+//! sequential equivalence, cycle by cycle.
 //!
 //! Latches inserted by the transform (isolation banks) exist only on the
 //! transformed side; their state variables are fresh and the proof holds
@@ -25,22 +25,23 @@
 //! verbatim: with `assumption = f_c` the checker tolerates transforms
 //! that corrupt outputs while the activation is low.
 //!
-//! The check runs in two phases. First an *arithmetic cut-point* phase
-//! ([`CheckConfig::arithmetic_cuts`]) abstracts every arithmetic cell the
-//! two netlists share by name into free output variables guarded by a
-//! condition that implies operand equality — the exact shape an
-//! isolation step produces, provable without ever constructing a
-//! multiplier's exponential function. Only when that phase is
-//! inconclusive does the checker fall back to the monolithic miter over
-//! the real functions (which alone can produce counterexamples or exhaust
-//! the budget).
+//! The check runs in two phases over one symbolic builder. Whenever the
+//! original has an arithmetic cell, an *arithmetic cut-point* phase comes
+//! first: every arithmetic cell the two netlists share by name becomes
+//! free output variables guarded by a condition that implies operand
+//! equality — the exact shape an isolation step produces, provable
+//! without ever constructing a multiplier's exponential function. Only an
+//! all-FALSE abstract miter counts; anything else falls back to the
+//! concrete phase, the monolithic miter over the real functions, which
+//! alone can produce counterexamples or exhaust the budget.
 //!
-//! Each phase builds both sides in one manager over a fixed variable
-//! order, so a miter is a plain `xor` of two handles in that manager:
-//! an observable bit whose two sides are the same node costs nothing.
+//! Each phase builds both sides in a manager and variable table of its
+//! own, over a fixed variable order, so a miter is a plain `xor` of two
+//! handles in that manager: an observable bit whose two sides are the
+//! same node costs nothing.
 
 use crate::cex::{extract, Counterexample};
-use crate::symb::{build_symbolic_bounded, build_symbolic_with_cuts, SymbolicNetlist, VarTable};
+use crate::symb::{build_symbolic, within_bound, BudgetExceeded, Cuts, SymbolicNetlist, VarTable};
 use oiso_boolex::{Bdd, BddRef, BoolExpr};
 use oiso_netlist::{Cell, CellKind, Netlist};
 use std::time::Instant;
@@ -62,16 +63,6 @@ pub struct CheckConfig {
     /// degradation path as node exhaustion, so a run budget never turns a
     /// slow symbolic proof into a hang.
     pub deadline: Option<Instant>,
-    /// Tries an *arithmetic cut-point* proof before the monolithic miter
-    /// (default true). The pre/post netlists of an isolation step share
-    /// every arithmetic cell by instance name, so each matched pair is
-    /// modeled as one free output vector guarded by a condition that
-    /// implies operand equality (see [`build_symbolic_with_cuts`]) — the
-    /// checker proves the shallow logic *around* a multiplier without ever
-    /// building its exponential function. Sound for `Equivalent`; any
-    /// non-FALSE abstract miter silently falls back to the concrete check,
-    /// which alone may report counterexamples or exhaust the budget.
-    pub arithmetic_cuts: bool,
 }
 
 impl Default for CheckConfig {
@@ -80,7 +71,6 @@ impl Default for CheckConfig {
             node_budget: 200_000,
             assumption: None,
             deadline: None,
-            arithmetic_cuts: true,
         }
     }
 }
@@ -164,14 +154,10 @@ fn next_state_bits(
                 return d;
             }
             let en = sym.net_bits(cell.inputs()[1])[0];
-            (0..out.width())
-                .map(|b| {
-                    let q = table
-                        .signal(out.name(), b)
-                        .expect("state bit missing from var table");
-                    let q = bdd.literal(q);
-                    bdd.ite(en, d[b as usize], q)
-                })
+            let q = table.bits(bdd, out.name(), out.width());
+            d.into_iter()
+                .zip(q)
+                .map(|(d, q)| bdd.ite(en, d, q))
                 .collect()
         }
         // A latch's settled output *is* its next state: transparent when
@@ -182,8 +168,20 @@ fn next_state_bits(
     }
 }
 
+/// The phases of one check, in the order [`check_equivalence`] runs them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Arithmetic cells abstracted into cut points (see
+    /// [`Cuts`](crate::symb::Cuts)); conclusive only when every miter is
+    /// FALSE.
+    Cut,
+    /// The monolithic miter over the real cell functions.
+    Concrete,
+}
+
 /// Proves (or refutes) that `transformed` is observably equivalent to
-/// `original`.
+/// `original`, and reports the engine counters ([`CheckStats`]) the run
+/// produced.
 ///
 /// Observables are matched **by net name**: every primary output of the
 /// original and the next state of every original stateful cell must exist
@@ -197,13 +195,19 @@ fn next_state_bits(
 /// same name and role in `transformed` — that is structural breakage well
 /// beyond a wrong activation function, not a property this checker reports
 /// with a vector.
-pub fn check_equivalence(original: &Netlist, transformed: &Netlist, config: &CheckConfig) -> Verdict {
-    check_equivalence_with_stats(original, transformed, config).0
+pub fn check_equivalence(
+    original: &Netlist,
+    transformed: &Netlist,
+    config: &CheckConfig,
+) -> (Verdict, CheckStats) {
+    check_from(Phase::Cut, original, transformed, config)
 }
 
-/// [`check_equivalence`] plus the engine counters ([`CheckStats`]) the
-/// run produced — the peak allocated node count.
-pub fn check_equivalence_with_stats(
+/// [`check_equivalence`] starting at phase `first`. The cut phase runs
+/// only when the original has an arithmetic cell; starting at
+/// [`Phase::Concrete`] pins a check to the concrete phase.
+pub(crate) fn check_from(
+    first: Phase,
     original: &Netlist,
     transformed: &Netlist,
     config: &CheckConfig,
@@ -212,71 +216,94 @@ pub fn check_equivalence_with_stats(
     let has_arithmetic = original
         .cells()
         .any(|(_, cell)| cell.kind().is_arithmetic());
-    if config.arithmetic_cuts && has_arithmetic {
-        let mut table = VarTable::for_pair_with_cuts(original, transformed);
-        let mut bdd = Bdd::with_order(table.order());
-        let verdict = run_abstract_check(&mut bdd, &mut table, original, transformed, config);
-        stats.peak_nodes = bdd.peak_nodes();
+    if first == Phase::Cut && has_arithmetic {
+        let (verdict, peak) = run_phase(Phase::Cut, original, transformed, config);
+        stats.peak_nodes = peak;
         if let Some(v) = verdict {
             stats.cut_proved = true;
             return (v, stats);
         }
     }
-    let table = VarTable::for_pair(original, transformed);
+    let (verdict, peak) = run_phase(Phase::Concrete, original, transformed, config);
+    stats.peak_nodes = stats.peak_nodes.max(peak);
+    (verdict.expect("the concrete phase always concludes"), stats)
+}
+
+/// Runs one phase in a manager and table of its own, returning its
+/// verdict and peak node count. The cut phase concludes only with
+/// [`Verdict::Equivalent`]: a non-FALSE abstract miter may be an artifact
+/// and is never reported as a counterexample, and its exhaustion is not
+/// the concrete phase's.
+fn run_phase(
+    phase: Phase,
+    original: &Netlist,
+    transformed: &Netlist,
+    config: &CheckConfig,
+) -> (Option<Verdict>, usize) {
+    let table = VarTable::for_pair(original, transformed, phase == Phase::Cut);
     let mut bdd = Bdd::with_order(table.order());
-    let verdict = run_check(&mut bdd, &table, original, transformed, config);
-    stats.peak_nodes = stats.peak_nodes.max(bdd.peak_nodes());
-    (verdict, stats)
+    let compared = miter_pair(&mut bdd, &table, original, transformed, config, phase);
+    let verdict = match (compared, phase) {
+        (Ok(Compared::Equivalent { observables }), _) => Some(Verdict::Equivalent { observables }),
+        (_, Phase::Cut) => None,
+        (Err(e), Phase::Concrete) => Some(Verdict::BudgetExceeded { nodes: e.nodes }),
+        (Ok(Compared::Diff { miter, label }), Phase::Concrete) => {
+            let cex = extract(&bdd, &table, miter, &label)
+                .expect("non-FALSE miter must have a satisfying path");
+            Some(Verdict::NotEquivalent(cex))
+        }
+    };
+    (verdict, bdd.peak_nodes())
 }
 
 /// Outcome of comparing every observable bit of a pair of symbolic builds.
 enum Compared {
     /// All miters FALSE.
     Equivalent { observables: usize },
-    /// Node budget or deadline exhausted mid-comparison.
-    Budget { nodes: usize },
     /// First non-FALSE miter, with its observable's label. Whether this is
     /// a real disagreement or an abstraction artifact is the caller's
     /// business.
     Diff { miter: BddRef, label: String },
 }
 
-/// Compares every primary-output bit and every next-state bit of the pair,
-/// in deterministic order: each bit's miter is `assume · (o ⊕ t)`, built
-/// in place, and the first non-FALSE one is returned.
-#[allow(clippy::too_many_arguments)] // both netlists and both symbolic builds
-fn compare_observables(
+/// Builds both sides of the pair in `bdd` — cuts minted on the original
+/// and matched on the transformed side in the cut phase — and compares
+/// every primary-output bit and every next-state bit, in deterministic
+/// order: each bit's miter is `assume · (o ⊕ t)`, built in place, and the
+/// first non-FALSE one is returned.
+fn miter_pair(
     bdd: &mut Bdd,
     table: &VarTable,
     original: &Netlist,
     transformed: &Netlist,
-    sym_o: &SymbolicNetlist,
-    sym_t: &SymbolicNetlist,
-    assume: BddRef,
     config: &CheckConfig,
-) -> Compared {
+    phase: Phase,
+) -> Result<Compared, BudgetExceeded> {
+    let cut = phase == Phase::Cut;
+    let mode = if cut { Cuts::Mint } else { Cuts::Off };
+    let (sym_o, minted) = build_symbolic(bdd, table, original, config, mode)?;
+    let mode = if cut { Cuts::Match(&minted) } else { Cuts::Off };
+    let (sym_t, _) = build_symbolic(bdd, table, transformed, config, mode)?;
+    let assume = match &config.assumption {
+        Some(expr) => expr_to_bdd(bdd, &sym_o, expr),
+        None => BddRef::TRUE,
+    };
     let mut observables = 0usize;
-    let mut check_bits =
-        |bdd: &mut Bdd, o: &[BddRef], t: &[BddRef], label: &str| -> Option<Compared> {
-            for (b, (&ob, &tb)) in o.iter().zip(t).enumerate() {
-                let diff = bdd.xor(ob, tb);
-                let miter = bdd.and(assume, diff);
-                if miter != BddRef::FALSE {
-                    return Some(Compared::Diff {
-                        miter,
-                        label: format!("{label}[{b}]"),
-                    });
-                }
-                observables += 1;
-                let late = config.deadline.is_some_and(|d| Instant::now() >= d);
-                if bdd.num_nodes() > config.node_budget || late {
-                    return Some(Compared::Budget {
-                        nodes: bdd.num_nodes(),
-                    });
-                }
+    let mut check_bits = |bdd: &mut Bdd, o: &[BddRef], t: &[BddRef], label: &str| {
+        for (b, (&ob, &tb)) in o.iter().zip(t).enumerate() {
+            let diff = bdd.xor(ob, tb);
+            let miter = bdd.and(assume, diff);
+            if miter != BddRef::FALSE {
+                return Ok(Some(Compared::Diff {
+                    miter,
+                    label: format!("{label}[{b}]"),
+                }));
             }
-            None
-        };
+            observables += 1;
+            within_bound(bdd, config)?;
+        }
+        Ok::<_, BudgetExceeded>(None)
+    };
 
     for &po in original.primary_outputs() {
         let name = original.net(po).name();
@@ -285,8 +312,8 @@ fn compare_observables(
             .unwrap_or_else(|| panic!("primary output `{name}` missing from transformed netlist"));
         let o_bits = sym_o.net_bits(po).to_vec();
         let t_bits = sym_t.net_bits(other).to_vec();
-        if let Some(v) = check_bits(bdd, &o_bits, &t_bits, name) {
-            return v;
+        if let Some(v) = check_bits(bdd, &o_bits, &t_bits, name)? {
+            return Ok(v);
         }
     }
     for (_, cell) in original.cells() {
@@ -303,105 +330,13 @@ fn compare_observables(
             .map(|cid| transformed.cell(cid))
             .filter(|c| c.kind().is_stateful())
             .unwrap_or_else(|| panic!("net `{name}` lost its stateful driver in the transform"));
-        let o_bits = next_state_bits(bdd, table, sym_o, original, cell);
-        let t_bits = next_state_bits(bdd, table, sym_t, transformed, other_cell);
-        if let Some(v) = check_bits(bdd, &o_bits, &t_bits, &format!("{name}'")) {
-            return v;
+        let o_bits = next_state_bits(bdd, table, &sym_o, original, cell);
+        let t_bits = next_state_bits(bdd, table, &sym_t, transformed, other_cell);
+        if let Some(v) = check_bits(bdd, &o_bits, &t_bits, &format!("{name}'"))? {
+            return Ok(v);
         }
     }
-    Compared::Equivalent { observables }
-}
-
-/// The cut-point phase: proves equivalence over the arithmetic-cut
-/// abstraction, or returns `None` to fall back to the concrete check.
-/// `None` covers every inconclusive outcome — a non-FALSE abstract miter
-/// (possibly an artifact, never reported as a counterexample), budget or
-/// deadline exhaustion, and the degenerate no-cuts build.
-fn run_abstract_check(
-    bdd: &mut Bdd,
-    table: &mut VarTable,
-    original: &Netlist,
-    transformed: &Netlist,
-    config: &CheckConfig,
-) -> Option<Verdict> {
-    let (sym_o, cuts) = build_symbolic_with_cuts(
-        bdd,
-        table,
-        original,
-        config.node_budget,
-        config.deadline,
-        None,
-    )
-    .ok()?;
-    if cuts.is_empty() {
-        return None;
-    }
-    let (sym_t, _) = build_symbolic_with_cuts(
-        bdd,
-        table,
-        transformed,
-        config.node_budget,
-        config.deadline,
-        Some(&cuts),
-    )
-    .ok()?;
-    let assume = match &config.assumption {
-        Some(expr) => expr_to_bdd(bdd, &sym_o, expr),
-        None => BddRef::TRUE,
-    };
-    match compare_observables(
-        bdd,
-        table,
-        original,
-        transformed,
-        &sym_o,
-        &sym_t,
-        assume,
-        config,
-    ) {
-        Compared::Equivalent { observables } => Some(Verdict::Equivalent { observables }),
-        Compared::Budget { .. } | Compared::Diff { .. } => None,
-    }
-}
-
-/// The concrete phase: the monolithic miter over the real cell functions.
-fn run_check(
-    bdd: &mut Bdd,
-    table: &VarTable,
-    original: &Netlist,
-    transformed: &Netlist,
-    config: &CheckConfig,
-) -> Verdict {
-    let sym_o = match build_symbolic_bounded(bdd, table, original, config.node_budget, config.deadline) {
-        Ok(s) => s,
-        Err(e) => return Verdict::BudgetExceeded { nodes: e.nodes },
-    };
-    let sym_t = match build_symbolic_bounded(bdd, table, transformed, config.node_budget, config.deadline) {
-        Ok(s) => s,
-        Err(e) => return Verdict::BudgetExceeded { nodes: e.nodes },
-    };
-    let assume = match &config.assumption {
-        Some(expr) => expr_to_bdd(bdd, &sym_o, expr),
-        None => BddRef::TRUE,
-    };
-    match compare_observables(
-        bdd,
-        table,
-        original,
-        transformed,
-        &sym_o,
-        &sym_t,
-        assume,
-        config,
-    ) {
-        Compared::Equivalent { observables } => Verdict::Equivalent { observables },
-        Compared::Budget { nodes } => Verdict::BudgetExceeded { nodes },
-        Compared::Diff { miter, label } => {
-            let cex = extract(bdd, table, miter, &label)
-                .expect("non-FALSE miter must have a satisfying path");
-            Verdict::NotEquivalent(cex)
-        }
-    }
+    Ok(Compared::Equivalent { observables })
 }
 
 #[cfg(test)]
@@ -456,7 +391,7 @@ mod tests {
     #[test]
     fn identical_netlists_are_equivalent() {
         let (n, _) = gated_adder();
-        let v = check_equivalence(&n, &n, &CheckConfig::default());
+        let v = check_equivalence(&n, &n, &CheckConfig::default()).0;
         assert!(matches!(v, Verdict::Equivalent { observables: 12 }));
     }
 
@@ -466,21 +401,18 @@ mod tests {
         // debited for table nodes only: a second run whose budget sits
         // just above the first run's peak proves the same pair.
         let (n, _) = gated_adder();
-        for arithmetic_cuts in [true, false] {
-            let generous = CheckConfig {
-                arithmetic_cuts,
-                ..CheckConfig::default()
-            };
-            let (v, stats) = check_equivalence_with_stats(&n, &n, &generous);
+        for first in [Phase::Cut, Phase::Concrete] {
+            let generous = CheckConfig::default();
+            let (v, stats) = check_from(first, &n, &n, &generous);
             assert!(matches!(v, Verdict::Equivalent { observables: 12 }), "got {v:?}");
             let tight = CheckConfig {
                 node_budget: stats.peak_nodes + 1,
                 ..generous
             };
-            let (v, again) = check_equivalence_with_stats(&n, &n, &tight);
+            let (v, again) = check_from(first, &n, &n, &tight);
             assert!(
                 matches!(v, Verdict::Equivalent { observables: 12 }),
-                "cuts {arithmetic_cuts}, budget {}: got {v:?}",
+                "from {first:?}, budget {}: got {v:?}",
                 tight.node_budget
             );
             assert_eq!(again.peak_nodes, stats.peak_nodes);
@@ -493,7 +425,7 @@ mod tests {
         // the register stores: when g = 0 the register holds anyway.
         let (orig, _) = gated_adder();
         let iso = masked_adder(true);
-        let v = check_equivalence(&orig, &iso, &CheckConfig::default());
+        let v = check_equivalence(&orig, &iso, &CheckConfig::default()).0;
         assert!(v.is_equivalent(), "got {v:?}");
     }
 
@@ -503,7 +435,7 @@ mod tests {
         // sum observable while g = 0.
         let (orig, _) = gated_adder();
         let broken = masked_adder(false);
-        let v = check_equivalence(&orig, &broken, &CheckConfig::default());
+        let v = check_equivalence(&orig, &broken, &CheckConfig::default()).0;
         let Verdict::NotEquivalent(cex) = v else {
             panic!("expected a counterexample, got {v:?}");
         };
@@ -524,7 +456,7 @@ mod tests {
             assumption: Some(BoolExpr::var(Signal::bit0(g))),
             ..CheckConfig::default()
         };
-        let v = check_equivalence(&orig, &broken, &config);
+        let v = check_equivalence(&orig, &broken, &config).0;
         assert!(v.is_equivalent(), "got {v:?}");
     }
 
@@ -539,11 +471,10 @@ mod tests {
         let n = b.build().unwrap();
         let config = CheckConfig {
             node_budget: 2_000,
-            arithmetic_cuts: false,
             ..CheckConfig::default()
         };
         assert!(matches!(
-            check_equivalence(&n, &n, &config),
+            check_from(Phase::Concrete, &n, &n, &config).0,
             Verdict::BudgetExceeded { .. }
         ));
     }
@@ -564,7 +495,7 @@ mod tests {
             node_budget: 2_000,
             ..CheckConfig::default()
         };
-        let v = check_equivalence(&n, &n, &config);
+        let v = check_equivalence(&n, &n, &config).0;
         assert!(matches!(v, Verdict::Equivalent { observables: 14 }), "got {v:?}");
     }
 
@@ -604,7 +535,7 @@ mod tests {
             node_budget: 10_000,
             ..CheckConfig::default()
         };
-        let v = check_equivalence(&orig, &iso, &config);
+        let v = check_equivalence(&orig, &iso, &config).0;
         assert!(v.is_equivalent(), "got {v:?}");
     }
 
@@ -718,7 +649,7 @@ mod tests {
             b.build().unwrap()
         };
         let (orig, rewired) = (build(false), build(true));
-        let (v, stats) = check_equivalence_with_stats(&orig, &rewired, &CheckConfig::default());
+        let (v, stats) = check_equivalence(&orig, &rewired, &CheckConfig::default());
         let Verdict::NotEquivalent(cex) = v else {
             panic!("expected a counterexample, got {v:?}");
         };
@@ -735,7 +666,7 @@ mod tests {
             ..CheckConfig::default()
         };
         assert!(matches!(
-            check_equivalence(&n, &n, &config),
+            check_equivalence(&n, &n, &config).0,
             Verdict::BudgetExceeded { .. }
         ));
     }
@@ -763,7 +694,7 @@ mod tests {
         };
         let a = build(false);
         let c = build(true);
-        let v = check_equivalence(&a, &c, &CheckConfig::default());
+        let v = check_equivalence(&a, &c, &CheckConfig::default()).0;
         assert!(matches!(v, Verdict::NotEquivalent(_)), "got {v:?}");
     }
 }

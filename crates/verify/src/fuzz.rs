@@ -17,6 +17,7 @@ use crate::check::CheckConfig;
 use crate::mutate::mutate_netlist;
 use crate::{verify_isolation_plan, Proof, VerifyConfig, VerifyOutcome};
 use oiso_boolex::BoolExpr;
+use oiso_core::checkpoint::{field, int_field, parse_journal, read_journal, JournalWriter};
 use oiso_core::{
     derive_activation_functions, parse_flat, ActivationConfig, CheckpointError, IsolationStyle,
     JsonScalar, RunBudget,
@@ -27,8 +28,6 @@ use oiso_par::{parallel_map_isolated, TaskOutcome};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
 use std::fmt;
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -269,7 +268,6 @@ pub fn run_case(config: &FuzzConfig, index: usize) -> CaseOutcome {
             // Past the run deadline, in-flight symbolic checks degrade to
             // differential sampling instead of delaying shutdown.
             deadline: config.budget.wall_deadline,
-            ..CheckConfig::default()
         },
         sample_vectors: config.sample_vectors,
         sample_seed: case_seed(config.seed, index) ^ 0xD1FF_5A3E,
@@ -333,72 +331,33 @@ fn effective_node_budget(config: &FuzzConfig) -> usize {
     config.budget.bdd_node_ceiling.unwrap_or(config.node_budget)
 }
 
-fn jfield<'a>(
-    fields: &'a [(String, JsonScalar)],
-    key: &str,
-    line: usize,
-) -> Result<&'a JsonScalar, CheckpointError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| CheckpointError::Format {
-            line,
-            message: format!("missing field {key:?}"),
-        })
-}
-
-fn jint(fields: &[(String, JsonScalar)], key: &str, line: usize) -> Result<u64, CheckpointError> {
-    jfield(fields, key, line)?
-        .as_int()
-        .ok_or_else(|| CheckpointError::Format {
-            line,
-            message: format!("field {key:?} must be an integer"),
-        })
-}
-
 fn parse_case_line(raw: &str, line: usize) -> Result<CaseOutcome, CheckpointError> {
     let fields = parse_flat(raw).map_err(|message| CheckpointError::Format { line, message })?;
-    if jfield(&fields, "kind", line)?.as_str() != Some("case") {
+    if field(&fields, "kind", line)?.as_str() != Some("case") {
         return Err(CheckpointError::Format {
             line,
             message: "expected a \"case\" record".into(),
         });
     }
     Ok(CaseOutcome {
-        case_index: jint(&fields, "index", line)? as usize,
-        candidates: jint(&fields, "candidates", line)? as usize,
-        skipped: jint(&fields, "skipped", line)? as usize,
-        bdd_proved: jint(&fields, "bdd_proved", line)? as usize,
-        sampled: jint(&fields, "sampled", line)? as usize,
+        case_index: int_field(&fields, "index", line)? as usize,
+        candidates: int_field(&fields, "candidates", line)? as usize,
+        skipped: int_field(&fields, "skipped", line)? as usize,
+        bdd_proved: int_field(&fields, "bdd_proved", line)? as usize,
+        sampled: int_field(&fields, "sampled", line)? as usize,
         violations: Vec::new(),
         transform_error: None,
         replayed: true,
     })
 }
 
-/// Loads a fuzz journal, validating its header against `expected_fp`.
-/// A torn final line (no trailing newline — a crash mid-append) is
-/// dropped; any other malformation is a hard error.
-fn load_fuzz_journal(path: &Path, expected_fp: u64) -> Result<Vec<CaseOutcome>, CheckpointError> {
-    let text = std::fs::read_to_string(path).map_err(|source| CheckpointError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    let complete = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.is_empty() {
+/// Checks a fuzz journal's header line against `expected_fp`.
+fn check_fuzz_header(line: &str, expected_fp: u64) -> Result<(), CheckpointError> {
+    let header = parse_flat(line).map_err(|_| CheckpointError::MissingHeader)?;
+    if field(&header, "kind", 1).ok().and_then(JsonScalar::as_str) != Some("fuzz-header") {
         return Err(CheckpointError::MissingHeader);
     }
-    let header = parse_flat(lines[0]).map_err(|_| CheckpointError::MissingHeader)?;
-    if jfield(&header, "kind", 1)
-        .ok()
-        .and_then(JsonScalar::as_str)
-        != Some("fuzz-header")
-    {
-        return Err(CheckpointError::MissingHeader);
-    }
-    let version = jint(&header, "version", 1).map_err(|_| CheckpointError::MissingHeader)?;
+    let version = int_field(&header, "version", 1).map_err(|_| CheckpointError::MissingHeader)?;
     if version != FUZZ_JOURNAL_VERSION {
         return Err(CheckpointError::FingerprintMismatch {
             field: "version",
@@ -406,7 +365,7 @@ fn load_fuzz_journal(path: &Path, expected_fp: u64) -> Result<Vec<CaseOutcome>, 
             found: version,
         });
     }
-    let fp_text = jfield(&header, "config", 1)?
+    let fp_text = field(&header, "config", 1)?
         .as_str()
         .ok_or(CheckpointError::MissingHeader)?;
     let found = (fp_text.len() == 16)
@@ -420,62 +379,35 @@ fn load_fuzz_journal(path: &Path, expected_fp: u64) -> Result<Vec<CaseOutcome>, 
             found,
         });
     }
-    let mut cases = Vec::new();
-    for (i, raw) in lines.iter().enumerate().skip(1) {
-        match parse_case_line(raw, i + 1) {
-            Ok(c) => cases.push(c),
-            Err(e) => {
-                if i == lines.len() - 1 && !complete {
-                    break; // torn tail: the append was interrupted
-                }
-                return Err(e);
-            }
-        }
-    }
-    Ok(cases)
+    Ok(())
 }
 
-/// Append-only, per-line-flushed fuzz journal. Shared by the parallel
-/// workers behind a mutex; record order in the file is completion order,
-/// which is fine — replay is keyed by case index, not position.
-struct FuzzJournal {
-    path: PathBuf,
-    file: Mutex<BufWriter<File>>,
+/// Loads a fuzz journal, validating its header against `expected_fp`,
+/// under the shared journal rules ([`parse_journal`]): a torn final line
+/// is dropped, any other malformation is a hard error.
+fn load_fuzz_journal(path: &Path, expected_fp: u64) -> Result<Vec<CaseOutcome>, CheckpointError> {
+    let text = read_journal(path)?;
+    let header = |line: &str| check_fuzz_header(line, expected_fp);
+    parse_journal(&text, header, parse_case_line).map(|(_, cases, _)| cases)
 }
 
-impl FuzzJournal {
-    fn create(path: &Path, fp: u64) -> Result<FuzzJournal, CheckpointError> {
-        let io = |source| CheckpointError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
-        let mut file = BufWriter::new(File::create(path).map_err(io)?);
-        writeln!(
-            file,
-            "{{\"kind\":\"fuzz-header\",\"version\":{FUZZ_JOURNAL_VERSION},\"config\":\"{fp:016x}\"}}"
-        )
-        .map_err(io)?;
-        file.flush().map_err(io)?;
-        Ok(FuzzJournal {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-        })
-    }
+/// Creates a fuzz journal bound to the config fingerprint `fp`.
+fn create_fuzz_journal(path: &Path, fp: u64) -> Result<JournalWriter, CheckpointError> {
+    let header = format!(
+        "{{\"kind\":\"fuzz-header\",\"version\":{FUZZ_JOURNAL_VERSION},\"config\":\"{fp:016x}\"}}"
+    );
+    JournalWriter::create(path, &header)
+}
 
-    fn append(&self, c: &CaseOutcome) -> Result<(), CheckpointError> {
-        let io = |source| CheckpointError::Io {
-            path: self.path.clone(),
-            source,
-        };
-        let mut file = self.file.lock().expect("fuzz journal lock");
-        writeln!(
-            file,
-            "{{\"kind\":\"case\",\"index\":{},\"candidates\":{},\"skipped\":{},\"bdd_proved\":{},\"sampled\":{}}}",
-            c.case_index, c.candidates, c.skipped, c.bdd_proved, c.sampled
-        )
-        .map_err(io)?;
-        file.flush().map_err(io)
-    }
+/// Appends one clean case to a fuzz journal shared by the parallel
+/// workers. Record order in the file is completion order, which is fine —
+/// replay is keyed by case index, not position.
+fn append_case(journal: &Mutex<JournalWriter>, c: &CaseOutcome) -> Result<(), CheckpointError> {
+    let line = format!(
+        "{{\"kind\":\"case\",\"index\":{},\"candidates\":{},\"skipped\":{},\"bdd_proved\":{},\"sampled\":{}}}",
+        c.case_index, c.candidates, c.skipped, c.bdd_proved, c.sampled
+    );
+    journal.lock().expect("fuzz journal lock").write_line(&line)
 }
 
 /// Everything a fuzz run observed.
@@ -563,12 +495,12 @@ pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzReport, FuzzError> {
     // The writer opens after the resume journal is read, so resuming from
     // and checkpointing to the same path works.
     let journal = match &config.checkpoint {
-        Some(path) => Some(FuzzJournal::create(path, fp)?),
+        Some(path) => Some(Mutex::new(create_fuzz_journal(path, fp)?)),
         None => None,
     };
     if let Some(j) = &journal {
         for c in &cases {
-            j.append(c)?;
+            append_case(j, c)?;
         }
     }
     let done: HashSet<usize> = cases.iter().map(|c| c.case_index).collect();
@@ -584,7 +516,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzReport, FuzzError> {
         let outcome = run_case(config, i);
         if let Some(j) = &journal {
             if outcome.is_clean() {
-                if let Err(e) = j.append(&outcome) {
+                if let Err(e) = append_case(j, &outcome) {
                     write_err.lock().expect("write_err lock").get_or_insert(e);
                 }
             }

@@ -9,7 +9,11 @@
 //! 1. **BDD equivalence check** ([`check_equivalence`]) — per-observable
 //!    miters over shared input/state variables; an inductive argument (see
 //!    [`check`]) lifts the single-cycle proof to full sequential
-//!    equivalence. Refutations come with a concrete [`Counterexample`].
+//!    equivalence. One symbolic builder serves both of its phases: an
+//!    arithmetic cut-point phase, which runs whenever the original has an
+//!    arithmetic cell, then the concrete phase, which alone reports
+//!    budget exhaustion or a refutation with a concrete
+//!    [`Counterexample`].
 //! 2. **Differential replay** ([`replay_counterexample`],
 //!    [`differential_sample`]) — every symbolic witness is replayed on the
 //!    concrete simulator of both netlists, and designs too wide for BDDs
@@ -28,20 +32,16 @@ pub mod check;
 pub mod differential;
 pub mod fuzz;
 pub mod mutate;
-pub mod symb;
+mod symb;
 
 pub use cex::Counterexample;
-pub use check::{check_equivalence, check_equivalence_with_stats, CheckConfig, CheckStats, Verdict};
+pub use check::{check_equivalence, CheckConfig, CheckStats, Verdict};
 pub use differential::{differential_sample, replay_counterexample, ReplayVerdict};
 pub use fuzz::{
     case_seed, fuzz_config_fingerprint, run_case, run_fuzz, CaseOutcome, FuzzConfig, FuzzError,
     FuzzReport, PanickedCase, Sabotage, Violation, FAULT_SITE_CASE,
 };
 pub use mutate::mutate_netlist;
-pub use symb::{
-    build_symbolic, build_symbolic_bounded, build_symbolic_with_cuts, BudgetExceeded, CutBuild,
-    SymbolicNetlist, VarEntry, VarKind, VarTable,
-};
 
 use oiso_boolex::BoolExpr;
 use oiso_core::{feedback_net, isolate_with_cache, IsolationStyle};
@@ -111,38 +111,34 @@ impl VerifyOutcome {
     pub fn is_verified(&self) -> bool {
         matches!(self, VerifyOutcome::Verified(_))
     }
-
-    /// True for [`VerifyOutcome::Violation`].
-    pub fn is_violation(&self) -> bool {
-        matches!(self, VerifyOutcome::Violation { .. })
-    }
 }
 
 /// Verifies that `transformed` is observably equivalent to `original`:
 /// BDD check first, differential sampling as the budget fallback, concrete
-/// replay of any counterexample.
-pub fn verify(original: &Netlist, transformed: &Netlist, config: &VerifyConfig) -> VerifyOutcome {
-    verify_with_stats(original, transformed, config).0
-}
-
-/// [`verify`] plus the symbolic engine's [`CheckStats`] — the peak
-/// allocated node count of the BDD phase (zeroed when the outcome never
-/// reached the symbolic checker).
-pub fn verify_with_stats(
+/// replay of any counterexample. Returns the outcome with the symbolic
+/// engine's [`CheckStats`].
+pub fn verify(
     original: &Netlist,
     transformed: &Netlist,
     config: &VerifyConfig,
 ) -> (VerifyOutcome, CheckStats) {
-    let (verdict, stats) = check_equivalence_with_stats(original, transformed, &config.check);
-    let outcome = match verdict {
-        Verdict::Equivalent { observables } => VerifyOutcome::Verified(Proof::Bdd { observables }),
-        Verdict::NotEquivalent(counterexample) => {
-            let replay = replay_counterexample(original, transformed, &counterexample);
-            VerifyOutcome::Violation {
-                counterexample,
-                replay,
-            }
+    let (verdict, stats) = check_equivalence(original, transformed, &config.check);
+    (resolve(original, transformed, config, verdict), stats)
+}
+
+/// Turns a checker verdict into an outcome: a witness is replayed on the
+/// concrete simulators, and budget exhaustion falls back to sampling.
+fn resolve(
+    original: &Netlist,
+    transformed: &Netlist,
+    config: &VerifyConfig,
+    verdict: Verdict,
+) -> VerifyOutcome {
+    let counterexample = match verdict {
+        Verdict::Equivalent { observables } => {
+            return VerifyOutcome::Verified(Proof::Bdd { observables })
         }
+        Verdict::NotEquivalent(counterexample) => counterexample,
         Verdict::BudgetExceeded { .. } => {
             match differential_sample(
                 original,
@@ -150,20 +146,20 @@ pub fn verify_with_stats(
                 config.sample_seed,
                 config.sample_vectors,
             ) {
-                Some(counterexample) => {
-                    let replay = replay_counterexample(original, transformed, &counterexample);
-                    VerifyOutcome::Violation {
-                        counterexample,
-                        replay,
-                    }
+                Some(counterexample) => counterexample,
+                None => {
+                    return VerifyOutcome::Verified(Proof::Sampled {
+                        vectors: config.sample_vectors,
+                    })
                 }
-                None => VerifyOutcome::Verified(Proof::Sampled {
-                    vectors: config.sample_vectors,
-                }),
             }
         }
     };
-    (outcome, stats)
+    let replay = replay_counterexample(original, transformed, &counterexample);
+    VerifyOutcome::Violation {
+        counterexample,
+        replay,
+    }
 }
 
 /// One verified step of an isolation plan.
@@ -231,7 +227,7 @@ pub fn verify_isolation_plan(
         let before = work.clone();
         let record = isolate_with_cache(&mut work, *cid, activation, *style, &mut cache)?;
         debug_assert_eq!(&record.activation, activation);
-        let (outcome, stats) = verify_with_stats(&before, &work, config);
+        let (outcome, stats) = verify(&before, &work, config);
         checks.push(CandidateCheck {
             candidate,
             style: *style,
@@ -354,7 +350,8 @@ mod tests {
         // node budget, so verification degrades to seeded sampling. The
         // cut-point phase proves this exact shape outright (see
         // `check::tests::cut_proof_covers_masked_multiplier_isolation`),
-        // so it is pinned off here to keep the fallback path covered.
+        // so the isolated pair is re-checked from the concrete phase here
+        // to keep the fallback path covered.
         let mut b = NetlistBuilder::new("wide");
         let x = b.input("x", 16);
         let y = b.input("y", 16);
@@ -370,19 +367,19 @@ mod tests {
         let config = VerifyConfig {
             check: CheckConfig {
                 node_budget: 10_000,
-                arithmetic_cuts: false,
                 ..CheckConfig::default()
             },
             ..VerifyConfig::default()
         };
-        let (_, checks) = verify_isolation_plan(&n, &plan, &config).unwrap();
+        let (iso, _) = verify_isolation_plan(&n, &plan, &config).unwrap();
+        let (verdict, _) = check::check_from(check::Phase::Concrete, &n, &iso, &config.check);
+        let outcome = resolve(&n, &iso, &config, verdict);
         assert!(
             matches!(
-                checks[0].outcome,
+                outcome,
                 VerifyOutcome::Verified(Proof::Sampled { vectors: 64 })
             ),
-            "got {:?}",
-            checks[0].outcome
+            "got {outcome:?}"
         );
     }
 }

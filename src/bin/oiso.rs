@@ -654,7 +654,6 @@ fn run() -> Result<(), String> {
                     node_budget: opts.budget,
                     assumption: None,
                     deadline: opts.deadline.map(|d| Instant::now() + d),
-                    ..CheckConfig::default()
                 },
                 ..VerifyConfig::default()
             };

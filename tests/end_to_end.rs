@@ -5,12 +5,15 @@
 //! never change what the design computes — only when internal nodes toggle.
 //! Every primary-output trace is compared bit-for-bit before and after.
 
-use operand_isolation::core::{optimize, IsolationConfig, IsolationStyle};
+use operand_isolation::core::{optimize, IsolationConfig, IsolationOutcome, IsolationStyle};
 use operand_isolation::designs::{
     alu_ctrl, busnet, design1, design2, figure1, fir, pipeline, Design,
 };
-use operand_isolation::netlist::Netlist;
+use operand_isolation::netlist::{CellKind, Netlist};
 use operand_isolation::sim::Testbench;
+use operand_isolation::verify::{
+    verify_isolation_plan, ReplayVerdict, VerifyConfig, VerifyOutcome,
+};
 
 fn all_designs() -> Vec<Design> {
     vec![
@@ -164,7 +167,61 @@ fn lookahead_preserves_behavior_and_unlocks_pipelines() {
             "{style}: {:.2}%",
             outcome.power_reduction_percent()
         );
+        assert_lookahead_refusals_are_next_state_only(&design.netlist, &outcome, style);
     }
+}
+
+/// Pins a known limit of the one-step inductive proof: look-ahead isolates
+/// a module exactly when the *plain* register it feeds is not read in the
+/// next cycle, so that register's next state really differs while no
+/// primary output can see it (the traces above stay equal). Every refused
+/// step must therefore be a confirmed violation on a plain register's
+/// next state, never on a primary output. Sequential proofs for
+/// look-ahead plans (ROADMAP item 3) turn this into "all proved".
+fn assert_lookahead_refusals_are_next_state_only(
+    netlist: &Netlist,
+    outcome: &IsolationOutcome,
+    style: IsolationStyle,
+) {
+    let plan: Vec<_> = outcome
+        .isolated
+        .iter()
+        .map(|r| (r.candidate, r.activation.clone(), r.style))
+        .collect();
+    let (_, checks) =
+        verify_isolation_plan(netlist, &plan, &VerifyConfig::default()).expect("plan splices");
+    let plain_register = |observable: &str| {
+        let name = observable.split('\'').next().unwrap_or(observable);
+        observable.contains("'")
+            && netlist
+                .find_net(name)
+                .and_then(|net| netlist.net(net).driver())
+                .is_some_and(|cid| netlist.cell(cid).kind() == CellKind::Reg { has_enable: false })
+    };
+    let mut refused = 0;
+    for check in &checks {
+        match &check.outcome {
+            VerifyOutcome::Verified(_) => {}
+            VerifyOutcome::Violation {
+                counterexample,
+                replay: ReplayVerdict::Confirmed { observable, .. },
+            } => {
+                refused += 1;
+                for seen in [&counterexample.observable, observable] {
+                    assert!(
+                        plain_register(seen),
+                        "{style} {}: refused on {seen}, not a plain register's next state",
+                        check.candidate
+                    );
+                }
+            }
+            other => panic!("{style} {}: {other:?}", check.candidate),
+        }
+    }
+    assert!(
+        refused >= 1,
+        "{style}: the look-ahead finding no longer reproduces"
+    );
 }
 
 #[test]
