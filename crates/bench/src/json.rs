@@ -4,6 +4,7 @@
 //! flat records of numbers and short strings, for which a small builder is
 //! plenty. Output is deterministic (insertion order preserved).
 
+use oiso_core::escape_json;
 use std::fmt::Write as _;
 
 /// A JSON value under construction.
@@ -73,21 +74,7 @@ impl Json {
                 }
             }
             Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
+                let _ = write!(out, "\"{}\"", escape_json(s));
             }
             Json::Arr(items) => {
                 if items.is_empty() {

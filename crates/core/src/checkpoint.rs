@@ -27,6 +27,7 @@
 //! live in [`JournalWriter`] and [`parse_journal`], which every JSONL
 //! journal shares — the fuzz journal of `oiso-verify` too.
 
+use crate::json::{self, escape_json};
 use crate::transform::IsolationStyle;
 use oiso_boolex::{BoolExpr, Signal};
 use oiso_netlist::{Fnv, NetId};
@@ -544,207 +545,14 @@ fn decode_tokens<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Option<BoolE
     }
 }
 
-// ---------------------------------------------------------------------------
-// Flat JSON lines
-
-/// Escapes a string for embedding in a JSONL record (the inverse of
-/// [`parse_flat`]'s string unescaping). Public for sibling journal formats
-/// (the fuzz journal) that share this module's line discipline.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// One scalar value in a flat JSON record: the journal formats write
-/// strings and unsigned integers; the serve API additionally accepts
-/// boolean literals in request bodies.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonScalar {
-    /// A JSON string (already unescaped).
-    Str(String),
-    /// An unsigned integer.
-    Int(u64),
-    /// A `true` / `false` literal.
-    Bool(bool),
-}
-
-impl JsonScalar {
-    /// The string value, or `None` otherwise.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonScalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The integer value, or `None` otherwise.
-    pub fn as_int(&self) -> Option<u64> {
-        match self {
-            JsonScalar::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean value — a literal `true`/`false`, or an integer `0`/`1`
-    /// (the pre-Bool encoding some writers still emit). `None` otherwise.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonScalar::Bool(b) => Some(*b),
-            JsonScalar::Int(0) => Some(false),
-            JsonScalar::Int(1) => Some(true),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object line (string keys; string, unsigned
-/// integer, or boolean values — the shapes the journal writers and the
-/// serve API accept). Public for sibling formats (the fuzz journal, serve
-/// request bodies) that share this line discipline.
-pub fn parse_flat(line: &str) -> Result<Vec<(String, JsonScalar)>, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = Vec::new();
-    if chars.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    loop {
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            Some(c) => return Err(format!("expected key, found {c:?}")),
-            None => return Err("unterminated object".into()),
-        }
-        let key = parse_string(&mut chars)?;
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        let value = match chars.peek() {
-            Some('"') => JsonScalar::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut digits = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    digits.push(chars.next().expect("peeked"));
-                }
-                JsonScalar::Int(digits.parse().map_err(|e| format!("bad number: {e}"))?)
-            }
-            Some(c) if c.is_ascii_alphabetic() => {
-                let mut word = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-                    word.push(chars.next().expect("peeked"));
-                }
-                match word.as_str() {
-                    "true" => JsonScalar::Bool(true),
-                    "false" => JsonScalar::Bool(false),
-                    other => return Err(format!("unknown literal {other:?}")),
-                }
-            }
-            other => return Err(format!("expected value for key {key:?}, found {other:?}")),
-        };
-        fields.push((key, value));
-        match chars.next() {
-            Some(',') => {}
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
-    if chars.next().is_some() {
-        return Err("trailing characters after object".into());
-    }
-    Ok(fields)
-}
-
-fn parse_string(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".into());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('r') => out.push('\r'),
-                Some('u') => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err("unterminated string".into()),
-        }
-    }
-}
-
-/// The value of `key` among a [`parse_flat`] line's fields.
-///
-/// # Errors
-///
-/// [`CheckpointError::Format`] at `line` when the field is missing.
-pub fn field<'a>(
-    fields: &'a [(String, JsonScalar)],
-    key: &str,
-    line: usize,
-) -> Result<&'a JsonScalar, CheckpointError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| CheckpointError::Format {
-            line,
-            message: format!("missing field {key:?}"),
-        })
-}
-
-/// The integer value of `key` among a [`parse_flat`] line's fields.
-///
-/// # Errors
-///
-/// [`CheckpointError::Format`] at `line` when the field is missing or
-/// not an integer.
-pub fn int_field(
-    fields: &[(String, JsonScalar)],
-    key: &str,
-    line: usize,
-) -> Result<u64, CheckpointError> {
-    field(fields, key, line)?
-        .as_int()
-        .ok_or_else(|| CheckpointError::Format {
-            line,
-            message: format!("field {key:?} must be an integer"),
-        })
-}
-
 fn parse_header(line: &str) -> Result<CheckpointHeader, CheckpointError> {
-    let fields = parse_flat(line).map_err(|_| CheckpointError::MissingHeader)?;
-    let kind = field(&fields, "kind", 1)?;
-    if kind.as_str() != Some("header") {
+    // A line that is not JSON or misses a field is not a header at all.
+    let no_header = |_| CheckpointError::MissingHeader;
+    let header = json::parse(line).map_err(no_header)?;
+    if header.str_field("kind").map_err(no_header)? != "header" {
         return Err(CheckpointError::MissingHeader);
     }
-    let version = field(&fields, "version", 1)?
-        .as_int()
-        .ok_or(CheckpointError::MissingHeader)?;
+    let version = header.int_field("version").map_err(no_header)?;
     if version != CHECKPOINT_VERSION {
         return Err(CheckpointError::FingerprintMismatch {
             field: "version",
@@ -753,9 +561,7 @@ fn parse_header(line: &str) -> Result<CheckpointHeader, CheckpointError> {
         });
     }
     let fp = |key: &str| -> Result<u64, CheckpointError> {
-        let text = field(&fields, key, 1)?
-            .as_str()
-            .ok_or(CheckpointError::MissingHeader)?;
+        let text = header.str_field(key).map_err(no_header)?;
         u64::from_str_radix(text, 16).map_err(|_| CheckpointError::Format {
             line: 1,
             message: format!("bad {key} fingerprint {text:?}"),
@@ -765,9 +571,7 @@ fn parse_header(line: &str) -> Result<CheckpointHeader, CheckpointError> {
         netlist_fp: fp("netlist")?,
         plan_fp: fp("stimulus")?,
         config_fp: fp("config")?,
-        sim_cycles: field(&fields, "cycles", 1)?
-            .as_int()
-            .ok_or(CheckpointError::MissingHeader)?,
+        sim_cycles: header.int_field("cycles").map_err(no_header)?,
     })
 }
 
@@ -776,32 +580,21 @@ fn parse_step(line: &str, line_no: usize) -> Result<AcceptedStep, CheckpointErro
         line: line_no,
         message,
     };
-    let fields = parse_flat(line).map_err(format_err)?;
-    if field(&fields, "kind", line_no)?.as_str() != Some("accept") {
+    let record = json::parse(line).map_err(format_err)?;
+    let str_field = |key: &str| record.str_field(key).map_err(format_err);
+    if str_field("kind")? != "accept" {
         return Err(format_err("unknown record kind".into()));
     }
-    let str_field = |key: &str| -> Result<&str, CheckpointError> {
-        field(&fields, key, line_no)?
-            .as_str()
-            .ok_or_else(|| CheckpointError::Format {
-                line: line_no,
-                message: format!("field {key:?} must be a string"),
-            })
-    };
     let activation_text = str_field("activation")?;
-    let activation = decode_expr(activation_text).ok_or_else(|| CheckpointError::Format {
-        line: line_no,
-        message: format!("bad activation encoding {activation_text:?}"),
-    })?;
+    let activation = decode_expr(activation_text)
+        .ok_or_else(|| format_err(format!("bad activation encoding {activation_text:?}")))?;
     let hex_field = |key: &str| -> Result<f64, CheckpointError> {
         let text = str_field(key)?;
-        f64_from_hex(text).ok_or_else(|| CheckpointError::Format {
-            line: line_no,
-            message: format!("field {key:?} is not an f64 bit pattern: {text:?}"),
-        })
+        f64_from_hex(text)
+            .ok_or_else(|| format_err(format!("field {key:?} is not an f64 bit pattern: {text:?}")))
     };
     Ok(AcceptedStep {
-        iteration: int_field(&fields, "iteration", line_no)? as usize,
+        iteration: record.int_field("iteration").map_err(format_err)? as usize,
         cell: str_field("cell")?.to_string(),
         activation,
         h: hex_field("h")?,
@@ -871,23 +664,6 @@ mod tests {
         for bad in ["", "X", "v7", "v7.", "!", "&2 T", "&1 T", "T F", "&999999999 T"] {
             assert!(decode_expr(bad).is_none(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn parse_flat_accepts_boolean_literals() {
-        let fields =
-            parse_flat("{\"a\":true,\"b\":false,\"n\":1,\"s\":\"x\"}").unwrap();
-        assert_eq!(fields[0].1.as_bool(), Some(true));
-        assert_eq!(fields[1].1.as_bool(), Some(false));
-        assert_eq!(fields[2].1.as_bool(), Some(true), "int 1 coerces");
-        assert_eq!(fields[3].1.as_bool(), None);
-        assert_eq!(fields[0].1.as_str(), None);
-        assert_eq!(fields[0].1.as_int(), None);
-        assert!(
-            parse_flat("{\"a\":truthy}").is_err(),
-            "unknown literals are rejected"
-        );
-        assert!(parse_flat("{\"a\":null}").is_err(), "null is not a scalar we accept");
     }
 
     #[test]

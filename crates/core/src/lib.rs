@@ -30,6 +30,9 @@
 //! * [`fsm`] — the "analyzing the corresponding FSM" option Section 3
 //!   mentions: reachable-state enumeration of closed FSM registers and
 //!   don't-care-based shrinking of activation logic.
+//! * [`checkpoint`] / [`json`] — the crash-resume journal of Algorithm 1's
+//!   accepted steps, and the workspace's one JSON reader, which also reads
+//!   the fuzz journal, the serve result store and every request body.
 //!
 //! # Examples
 //!
@@ -72,6 +75,7 @@ pub mod candidates;
 pub mod checkpoint;
 pub mod cost;
 pub mod fsm;
+pub mod json;
 pub mod muxfunc;
 pub mod observability;
 pub mod precheck;
@@ -88,11 +92,12 @@ pub use budget::RunBudget;
 pub use oiso_sim::EngineKind;
 pub use candidates::{identify_candidates, Candidate};
 pub use checkpoint::{
-    config_fingerprint, escape_json, parse_flat, AcceptedStep, Checkpoint, CheckpointError,
-    CheckpointHeader, CheckpointWriter, JsonScalar, StepTap,
+    config_fingerprint, AcceptedStep, Checkpoint, CheckpointError, CheckpointHeader,
+    CheckpointWriter, StepTap,
 };
 pub use cost::{CostModel, CostWeights, IsolationCost};
 pub use fsm::{find_closed_fsms, refine_with_fsm_dont_cares, ClosedFsm};
+pub use json::{escape_json, JsonValue};
 pub use muxfunc::multiplexing_functions;
 pub use oiso_boolex::NodeBudget;
 pub use precheck::{

@@ -69,6 +69,22 @@ impl IsolationStyle {
         }
     }
 
+    /// Stable lowercase name: the CLI's `--style` values and serve's
+    /// `"style"` field.
+    pub fn name(self) -> &'static str {
+        match self {
+            IsolationStyle::And => "and",
+            IsolationStyle::Or => "or",
+            IsolationStyle::Latch => "latch",
+            IsolationStyle::BddSynth => "bdd",
+        }
+    }
+
+    /// The style called `raw` by [`IsolationStyle::name`], if any.
+    pub fn parse(raw: &str) -> Option<IsolationStyle> {
+        Self::ALL_WITH_BDD.into_iter().find(|s| s.name() == raw)
+    }
+
     /// Table-row label used in reports ("AND-isolated", ...).
     pub fn label(self) -> &'static str {
         match self {

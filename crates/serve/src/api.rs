@@ -47,8 +47,9 @@
 use crate::cache::{CacheRole, ResultCache};
 use crate::error::ApiError;
 use crate::http::{ChunkedWriter, Request, Response};
-use crate::json::{json_array, parse_object, parse_value, JsonObj, JsonValue};
+use crate::json::{json_array, JsonObj};
 use crate::store::ResultStore;
+use oiso_core::json::{self, JsonValue};
 use oiso_core::{
     derive_activation_functions, optimize_with_memo, ActivationConfig, IsolationConfig,
     IsolationOutcome, IsolationStyle, RunBudget, StepTap,
@@ -188,17 +189,25 @@ impl Draft {
         }
     }
 
-    fn apply(&mut self, key: &str, value: &oiso_core::JsonScalar) -> Result<(), ApiError> {
+    fn apply(&mut self, key: &str, value: &JsonValue) -> Result<(), ApiError> {
+        let text = || typed(key, value.as_str(), "a string");
+        let int = || typed(key, value.as_int(), "an unsigned integer");
+        let flag = || typed(key, value.as_bool(), "a boolean");
         match key {
-            "design" => self.design_name = Some(str_field(key, value)?),
-            "source" => self.source = Some(str_field(key, value)?),
-            "style" => self.style = parse_style(&str_field(key, value)?)?,
-            "cycles" => self.cycles = int_field(key, value)?,
-            "lookahead" => self.lookahead = bool_field(key, value)?,
-            "budget" => self.budget = Some(int_field(key, value)? as usize),
-            "seed" => self.seed = Some(int_field(key, value)?),
-            "engine" => self.engine = parse_engine(&str_field(key, value)?)?,
-            "stream" => self.stream = bool_field(key, value)?,
+            "design" => self.design_name = Some(text()?.to_string()),
+            "source" => self.source = Some(text()?.to_string()),
+            "style" => {
+                let raw = text()?;
+                self.style = IsolationStyle::parse(raw).ok_or_else(|| {
+                    ApiError::bad_field(format!("\"style\" must be and|or|latch|bdd, got {raw:?}"))
+                })?
+            }
+            "cycles" => self.cycles = int()?,
+            "lookahead" => self.lookahead = flag()?,
+            "budget" => self.budget = Some(int()? as usize),
+            "seed" => self.seed = Some(int()?),
+            "engine" => self.engine = parse_engine(text()?)?,
+            "stream" => self.stream = flag()?,
             other => return Err(ApiError::unknown_field(other)),
         }
         Ok(())
@@ -240,11 +249,12 @@ impl Draft {
             design = design.with_seed(s);
         }
         // Per-endpoint budget default: verify/lint BDDs are per-cone and
-        // get the CLI's 200k; the activity pass covers whole netlists and
-        // needs its much larger default to stay exact on the big designs.
+        // get the checker's default, as on the CLI; the activity pass
+        // covers whole netlists and needs its much larger default to stay
+        // exact on the big designs.
         let budget = self.budget.unwrap_or(match endpoint {
             Endpoint::Analyze => oiso_activity::DEFAULT_ACTIVITY_NODE_BUDGET,
-            _ => 200_000,
+            _ => CheckConfig::default().node_budget,
         });
         Ok(ApiRequest {
             endpoint,
@@ -289,9 +299,17 @@ impl ApiRequest {
             .map_err(|_| ApiError::bad_request("request body is not UTF-8"))?;
         let mut draft = Draft::new();
         if body.trim_start().starts_with('{') {
-            let fields = parse_object(body).map_err(ApiError::bad_json)?;
+            let value = json::parse(body).map_err(ApiError::bad_json)?;
+            let fields = value.as_object().unwrap_or_default();
+            // The single-request schema is flat, so a nested value makes
+            // the body malformed before any field is looked at.
+            if let Some((key, _)) = fields.iter().find(|(_, v)| !v.is_scalar()) {
+                return Err(ApiError::bad_json(format!(
+                    "field {key:?} must be a scalar"
+                )));
+            }
             for (key, value) in fields {
-                draft.apply(&key, &value)?;
+                draft.apply(key, value)?;
             }
         } else if body.trim().is_empty() {
             return Err(ApiError::bad_json(
@@ -312,7 +330,7 @@ impl ApiRequest {
         eat_str(&mut h, self.endpoint.label());
         h.u64(self.design.netlist.fingerprint());
         h.u64(self.design.stimuli.fingerprint());
-        eat_str(&mut h, style_name(self.style));
+        eat_str(&mut h, self.style.name());
         h.u64(self.cycles);
         h.u64(u64::from(self.lookahead));
         h.u64(self.budget as u64);
@@ -398,7 +416,7 @@ impl ApiRequest {
             let mut item = JsonObj::new();
             item.str("cell", outcome.netlist.cell(record.candidate).name())
                 .int("bits", record.isolated_bits as u64)
-                .str("style", style_name(record.style));
+                .str("style", record.style.name());
             item.finish()
         }));
         let mut obj = self.request_echo();
@@ -463,7 +481,7 @@ impl ApiRequest {
         let rendered = json_array(checks.iter().map(|check| {
             let mut item = JsonObj::new();
             item.str("candidate", &check.candidate)
-                .str("style", style_name(check.style));
+                .str("style", check.style.name());
             match &check.outcome {
                 VerifyOutcome::Verified(Proof::Bdd { observables }) => {
                     proved += 1;
@@ -570,7 +588,7 @@ impl ApiRequest {
         let mut obj = JsonObj::new();
         obj.str("endpoint", self.endpoint.label())
             .str("design", &self.design_label)
-            .str("style", style_name(self.style))
+            .str("style", self.style.name())
             .int("cycles", self.cycles)
             .bool("lookahead", self.lookahead);
         obj
@@ -604,7 +622,7 @@ impl BatchRequest {
         if !body.trim_start().starts_with('{') {
             return Err(ApiError::bad_json("batch body must be a JSON object"));
         }
-        let value = parse_value(body).map_err(ApiError::bad_json)?;
+        let value = json::parse(body).map_err(ApiError::bad_json)?;
         let fields = value
             .as_object()
             .ok_or_else(|| ApiError::bad_json("batch body must be a JSON object"))?;
@@ -617,12 +635,7 @@ impl BatchRequest {
                         ApiError::bad_field("field \"items\" must be an array of objects")
                     })?)
                 }
-                "stream" => {
-                    stream = value
-                        .as_scalar()
-                        .and_then(|s| s.as_bool())
-                        .ok_or_else(|| ApiError::bad_field("field \"stream\" must be a boolean"))?
-                }
+                "stream" => stream = typed(key, value.as_bool(), "a boolean")?,
                 other => return Err(ApiError::unknown_field(other)),
             }
         }
@@ -652,17 +665,19 @@ impl BatchRequest {
         let mut endpoint = Endpoint::Isolate;
         let mut draft = Draft::new();
         for (key, value) in fields {
-            let scalar = value.as_scalar().ok_or_else(|| {
-                ApiError::bad_field(format!("field {key:?} must be a scalar"))
-            })?;
+            if !value.is_scalar() {
+                return Err(ApiError::bad_field(format!("field {key:?} must be a scalar")));
+            }
             match key.as_str() {
-                "endpoint" => endpoint = parse_item_endpoint(&str_field(key, scalar)?)?,
+                "endpoint" => {
+                    endpoint = parse_item_endpoint(typed(key, value.as_str(), "a string")?)?
+                }
                 "stream" => {
                     return Err(ApiError::bad_field(
                         "items may not set \"stream\"; stream the whole batch instead",
                     ))
                 }
-                _ => draft.apply(key, scalar)?,
+                _ => draft.apply(key, value)?,
             }
         }
         // Items carry no own deadline: the batch's budget is shared.
@@ -948,50 +963,15 @@ fn emit_event<W: std::io::Write>(out: &Arc<Mutex<ChunkedWriter<W>>>, mut line: S
     }
 }
 
-/// Lowercase style name, matching the CLI's `--style` values.
-pub fn style_name(style: IsolationStyle) -> &'static str {
-    match style {
-        IsolationStyle::And => "and",
-        IsolationStyle::Or => "or",
-        IsolationStyle::Latch => "latch",
-        IsolationStyle::BddSynth => "bdd",
-    }
-}
-
 fn parse_engine(raw: &str) -> Result<EngineKind, ApiError> {
     raw.parse::<EngineKind>()
         .map_err(|e| ApiError::bad_field(format!("\"engine\": {e}")))
 }
 
-fn parse_style(raw: &str) -> Result<IsolationStyle, ApiError> {
-    match raw {
-        "and" => Ok(IsolationStyle::And),
-        "or" => Ok(IsolationStyle::Or),
-        "latch" => Ok(IsolationStyle::Latch),
-        "bdd" => Ok(IsolationStyle::BddSynth),
-        other => Err(ApiError::bad_field(format!(
-            "\"style\" must be and|or|latch|bdd, got {other:?}"
-        ))),
-    }
-}
-
-fn str_field(key: &str, value: &oiso_core::JsonScalar) -> Result<String, ApiError> {
-    value
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| ApiError::bad_field(format!("field {key:?} must be a string")))
-}
-
-fn int_field(key: &str, value: &oiso_core::JsonScalar) -> Result<u64, ApiError> {
-    value
-        .as_int()
-        .ok_or_else(|| ApiError::bad_field(format!("field {key:?} must be an unsigned integer")))
-}
-
-fn bool_field(key: &str, value: &oiso_core::JsonScalar) -> Result<bool, ApiError> {
-    value
-        .as_bool()
-        .ok_or_else(|| ApiError::bad_field(format!("field {key:?} must be a boolean")))
+/// A field's value read by one of the `JsonValue::as_*` accessors, or
+/// `400 bad_field` saying which type the field must have.
+fn typed<T>(key: &str, value: Option<T>, kind: &str) -> Result<T, ApiError> {
+    value.ok_or_else(|| ApiError::bad_field(format!("field {key:?} must be {kind}")))
 }
 
 fn ok_json(mut body: String) -> Response {
@@ -1049,6 +1029,10 @@ mod tests {
             ("{\"design\":\"figure1\",\"engine\":7}", "bad_field"),
             ("{\"design\":1}", "bad_field"),
             ("{\"design\"", "bad_json"),
+            ("{\"design\":[\"figure1\"]}", "bad_json"),
+            ("{\"design\":\"figure1\",\"seed\":{}}", "bad_json"),
+            ("{\"design\":\"figure1\\ud83d\"}", "bad_json"),
+            ("{\"design\":\"\\ude00\\ud83d\"}", "bad_json"),
             ("", "bad_json"),
             ("not an oiso design", "bad_design"),
         ];
@@ -1057,6 +1041,24 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err.code, *code, "{body:?} -> {err}");
         }
+    }
+
+    #[test]
+    fn batch_items_must_be_flat_objects_of_scalars() {
+        let batch = BatchRequest::parse(&post(
+            "/v1/batch",
+            "{\"items\":[{\"design\":{\"name\":\"figure1\"}},7,\
+             {\"design\":\"figure1\",\"lookahead\":1}],\"stream\":0}",
+        ))
+        .unwrap();
+        assert!(!batch.stream);
+        let codes: Vec<&str> = batch
+            .items
+            .iter()
+            .map(|item| item.as_ref().map_or_else(|e| e.code, |_| "ok"))
+            .collect();
+        assert_eq!(codes, ["bad_field", "bad_field", "ok"]);
+        assert!(batch.items[2].as_ref().unwrap().lookahead, "0/1 still read as booleans");
     }
 
     #[test]

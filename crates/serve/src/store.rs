@@ -31,7 +31,7 @@
 //! answers compiled requests byte-identically.
 
 use crate::http::Response;
-use oiso_core::{escape_json, parse_flat, JsonScalar};
+use oiso_core::{escape_json, json};
 use oiso_netlist::Fnv;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -255,17 +255,8 @@ fn load_records(text: &str, index: &mut HashMap<u64, String>) -> (u64, u64) {
 }
 
 fn parse_header(line: &str) -> Option<u64> {
-    let fields = parse_flat(line.trim_end()).ok()?;
-    let mut kind = None;
-    let mut version = None;
-    for (k, v) in &fields {
-        match k.as_str() {
-            "kind" => kind = v.as_str(),
-            "version" => version = v.as_int(),
-            _ => {}
-        }
-    }
-    (kind == Some("header")).then_some(version?)
+    let header = json::parse(line).ok()?;
+    (header.get("kind")?.as_str()? == "header").then_some(header.get("version")?.as_int()?)
 }
 
 struct RawEntry {
@@ -275,40 +266,13 @@ struct RawEntry {
 }
 
 fn parse_entry(line: &str) -> Option<RawEntry> {
-    let fields = parse_flat(line).ok()?;
-    let mut kind = None;
-    let mut key = None;
-    let mut sum = None;
-    let mut body = None;
-    for (k, v) in fields {
-        match k.as_str() {
-            "kind" => kind = v.as_str().map(str::to_string),
-            "key" => {
-                key = match v {
-                    JsonScalar::Str(s) => u64::from_str_radix(&s, 16).ok(),
-                    _ => None,
-                }
-            }
-            "sum" => {
-                sum = match v {
-                    JsonScalar::Str(s) => u64::from_str_radix(&s, 16).ok(),
-                    _ => None,
-                }
-            }
-            "body" => {
-                body = match v {
-                    JsonScalar::Str(s) => Some(s),
-                    _ => None,
-                }
-            }
-            _ => {}
-        }
-    }
-    (kind.as_deref() == Some("entry")).then_some(())?;
+    let record = json::parse(line).ok()?;
+    (record.get("kind")?.as_str()? == "entry").then_some(())?;
+    let hex = |key: &str| u64::from_str_radix(record.get(key)?.as_str()?, 16).ok();
     Some(RawEntry {
-        key: key?,
-        sum,
-        body: body?,
+        key: hex("key")?,
+        sum: hex("sum"),
+        body: record.get("body")?.as_str()?.to_string(),
     })
 }
 

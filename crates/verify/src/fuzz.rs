@@ -17,10 +17,10 @@ use crate::check::CheckConfig;
 use crate::mutate::mutate_netlist;
 use crate::{verify_isolation_plan, Proof, VerifyConfig, VerifyOutcome};
 use oiso_boolex::BoolExpr;
-use oiso_core::checkpoint::{field, int_field, parse_journal, read_journal, JournalWriter};
+use oiso_core::checkpoint::{parse_journal, read_journal, JournalWriter};
 use oiso_core::{
-    derive_activation_functions, parse_flat, ActivationConfig, CheckpointError, IsolationStyle,
-    JsonScalar, RunBudget,
+    derive_activation_functions, json, ActivationConfig, CheckpointError, IsolationStyle,
+    RunBudget,
 };
 use oiso_designs::random::{build_netlist, RandomParams};
 use oiso_netlist::Fnv;
@@ -91,7 +91,7 @@ impl Default for FuzzConfig {
             cases: 100,
             seed: 1,
             threads: 1,
-            node_budget: 200_000,
+            node_budget: CheckConfig::default().node_budget,
             sample_vectors: 64,
             sabotage: Sabotage::None,
             budget: RunBudget::unlimited(),
@@ -332,19 +332,18 @@ fn effective_node_budget(config: &FuzzConfig) -> usize {
 }
 
 fn parse_case_line(raw: &str, line: usize) -> Result<CaseOutcome, CheckpointError> {
-    let fields = parse_flat(raw).map_err(|message| CheckpointError::Format { line, message })?;
-    if field(&fields, "kind", line)?.as_str() != Some("case") {
-        return Err(CheckpointError::Format {
-            line,
-            message: "expected a \"case\" record".into(),
-        });
+    let format_err = |message| CheckpointError::Format { line, message };
+    let record = json::parse(raw).map_err(format_err)?;
+    if record.str_field("kind").map_err(format_err)? != "case" {
+        return Err(format_err("expected a \"case\" record".into()));
     }
+    let count = |key: &str| record.int_field(key).map(|n| n as usize).map_err(format_err);
     Ok(CaseOutcome {
-        case_index: int_field(&fields, "index", line)? as usize,
-        candidates: int_field(&fields, "candidates", line)? as usize,
-        skipped: int_field(&fields, "skipped", line)? as usize,
-        bdd_proved: int_field(&fields, "bdd_proved", line)? as usize,
-        sampled: int_field(&fields, "sampled", line)? as usize,
+        case_index: count("index")?,
+        candidates: count("candidates")?,
+        skipped: count("skipped")?,
+        bdd_proved: count("bdd_proved")?,
+        sampled: count("sampled")?,
         violations: Vec::new(),
         transform_error: None,
         replayed: true,
@@ -353,11 +352,13 @@ fn parse_case_line(raw: &str, line: usize) -> Result<CaseOutcome, CheckpointErro
 
 /// Checks a fuzz journal's header line against `expected_fp`.
 fn check_fuzz_header(line: &str, expected_fp: u64) -> Result<(), CheckpointError> {
-    let header = parse_flat(line).map_err(|_| CheckpointError::MissingHeader)?;
-    if field(&header, "kind", 1).ok().and_then(JsonScalar::as_str) != Some("fuzz-header") {
+    // A line that is not JSON or misses a field is not a header at all.
+    let no_header = |_| CheckpointError::MissingHeader;
+    let header = json::parse(line).map_err(no_header)?;
+    if header.str_field("kind").map_err(no_header)? != "fuzz-header" {
         return Err(CheckpointError::MissingHeader);
     }
-    let version = int_field(&header, "version", 1).map_err(|_| CheckpointError::MissingHeader)?;
+    let version = header.int_field("version").map_err(no_header)?;
     if version != FUZZ_JOURNAL_VERSION {
         return Err(CheckpointError::FingerprintMismatch {
             field: "version",
@@ -365,9 +366,7 @@ fn check_fuzz_header(line: &str, expected_fp: u64) -> Result<(), CheckpointError
             found: version,
         });
     }
-    let fp_text = field(&header, "config", 1)?
-        .as_str()
-        .ok_or(CheckpointError::MissingHeader)?;
+    let fp_text = header.str_field("config").map_err(no_header)?;
     let found = (fp_text.len() == 16)
         .then(|| u64::from_str_radix(fp_text, 16).ok())
         .flatten()

@@ -188,7 +188,7 @@ fn parse_options() -> Result<Options, String> {
         dot: None,
         cases: 100,
         seed: 1,
-        budget: 200_000,
+        budget: CheckConfig::default().node_budget,
         sabotage: Sabotage::None,
         deadline: None,
         max_skipped: None,
@@ -214,17 +214,11 @@ fn parse_options() -> Result<Options, String> {
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--style" => {
-                opts.style = match args.next().as_deref() {
-                    Some("and") => IsolationStyle::And,
-                    Some("or") => IsolationStyle::Or,
-                    Some("latch") => IsolationStyle::Latch,
-                    Some("bdd") => IsolationStyle::BddSynth,
-                    other => {
-                        return Err(format!(
-                            "--style needs and|or|latch|bdd, got {other:?}"
-                        ))
-                    }
-                };
+                let raw = args.next();
+                opts.style = raw
+                    .as_deref()
+                    .and_then(IsolationStyle::parse)
+                    .ok_or_else(|| format!("--style needs and|or|latch|bdd, got {raw:?}"))?;
             }
             "--cycles" => {
                 opts.cycles = args

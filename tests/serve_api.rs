@@ -205,6 +205,27 @@ fn raw_oiso_bodies_run_with_default_config() {
 }
 
 #[test]
+fn unicode_escapes_in_a_body_read_as_the_characters_they_encode() {
+    use operand_isolation::core::escape_json;
+    use operand_isolation::designs::{figure1, textfmt};
+    let (handle, client) = spawn(quiet_config());
+    let source = format!("# café 😀\n{}", textfmt::emit(&figure1::build()));
+    let request = |source: &str| format!("{{\"source\":\"{source}\",\"cycles\":300}}");
+    // What Python's `json.dumps` sends by default: non-ASCII characters
+    // as `\u` escapes, the non-BMP one as a UTF-16 surrogate pair.
+    let ascii = escape_json(&source)
+        .replace('é', "\\u00e9")
+        .replace('😀', "\\ud83d\\ude00");
+    assert!(ascii.is_ascii());
+    let escaped = client.post("/v1/isolate", &request(&ascii));
+    assert_eq!(escaped.status, 200, "{}", escaped.text());
+    let raw = client.post("/v1/isolate", &request(&escape_json(&source)));
+    assert_eq!(raw.status, 200, "{}", raw.text());
+    assert_eq!(escaped.body, raw.body);
+    handle.shutdown();
+}
+
+#[test]
 fn deadline_exceeded_isolate_degrades_to_truncated_not_a_hang() {
     let (handle, client) = spawn(quiet_config());
     // A 1 ms deadline cannot finish Algorithm 1; the response must still
