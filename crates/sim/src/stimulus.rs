@@ -176,12 +176,28 @@ impl Stimulus for TraceStim {
 /// stationary distribution has `p1 = a/(a+b)` and the per-cycle toggle rate
 /// is `2ab/(a+b)`. Solving for targets `(p1, tr)`:
 /// `a = tr / (2(1−p1))`, `b = tr / (2·p1)`.
+///
+/// Each flip is one `gen_bool(p)` draw, `((x >> 11) as f64 · 2⁻⁵³) < p`,
+/// taken as the integer test `(x >> 11) < ceil(p·2⁵³)`: the left side is
+/// an integer below 2⁵³ and `p·2⁵³` is exact, so both tests draw the same
+/// stream. A flip probability of 0 draws nothing.
 struct MarkovStim {
     rng: StdRng,
     state: u64,
     width: u8,
-    a: f64,
-    b: f64,
+    /// Flip thresholds indexed by the bit's current state: `[a, b]` as
+    /// `ceil(p·2⁵³)`, each probability clamped to 1 first.
+    thresholds: [u64; 2],
+}
+
+/// `gen_bool(p)`'s acceptance bound on `x >> 11`, or 0 (no draw) unless
+/// `p > 0`, as a NaN toggle rate gives.
+fn flip_threshold(p: f64) -> u64 {
+    if p > 0.0 {
+        (p.min(1.0) * (1u64 << 53) as f64).ceil() as u64
+    } else {
+        0
+    }
 }
 
 impl MarkovStim {
@@ -220,8 +236,7 @@ impl MarkovStim {
             rng,
             state,
             width,
-            a,
-            b,
+            thresholds: [flip_threshold(a), flip_threshold(b)],
         })
     }
 }
@@ -230,9 +245,8 @@ impl Stimulus for MarkovStim {
     fn next_value(&mut self, _cycle: u64) -> u64 {
         let current = self.state;
         for bit in 0..self.width {
-            let is_one = (self.state >> bit) & 1 == 1;
-            let flip_p = if is_one { self.b } else { self.a };
-            if flip_p > 0.0 && self.rng.gen_bool(flip_p.min(1.0)) {
+            let threshold = self.thresholds[((self.state >> bit) & 1) as usize];
+            if threshold != 0 && (self.rng.next_u64() >> 11) < threshold {
                 self.state ^= 1 << bit;
             }
         }
@@ -374,6 +388,72 @@ mod tests {
             let (mp, mt) = measure(stim.as_mut(), 20_000, 16);
             assert!((mp - p1).abs() < 0.02, "p1 target {p1}, measured {mp}");
             assert!((mt - tr).abs() < 0.02, "tr target {tr}, measured {mt}");
+        }
+    }
+
+    /// The Markov draw as it was written before the integer thresholds:
+    /// one `gen_bool(flip_p)` per bit, branching on the bit's state.
+    fn reference_markov(width: u8, p_one: f64, toggle_rate: f64, seed: u64, cycles: u64) -> Vec<u64> {
+        let (a, b) = if p_one <= f64::EPSILON {
+            (0.0, 1.0)
+        } else if p_one >= 1.0 - f64::EPSILON {
+            (1.0, 0.0)
+        } else {
+            (toggle_rate / (2.0 * (1.0 - p_one)), toggle_rate / (2.0 * p_one))
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut state = 0u64;
+        for bit in 0..width {
+            if rng.gen_bool(p_one.clamp(0.0, 1.0)) {
+                state |= 1 << bit;
+            }
+        }
+        let mut values: Vec<u64> = (0..cycles)
+            .map(|_| {
+                let current = state;
+                for bit in 0..width {
+                    let is_one = (state >> bit) & 1 == 1;
+                    let flip_p = if is_one { b } else { a };
+                    if flip_p > 0.0 && rng.gen_bool(flip_p.min(1.0)) {
+                        state ^= 1 << bit;
+                    }
+                }
+                current
+            })
+            .collect();
+        // The generator's position after the run: equal only if both loops
+        // drew the same number of times.
+        values.push(rng.next_u64());
+        values
+    }
+
+    #[test]
+    fn integer_thresholds_draw_the_reference_stream() {
+        let pairs = [
+            (0.0, 0.0),
+            (1.0, 0.0),
+            (0.3, 0.0),
+            (0.5, 0.5),
+            (0.2, 0.1),
+            (0.5, 1.0),             // tr at its limit: a = b = 1
+            (0.25, 0.5),            // tr at its limit: b = 1
+            (0.75, 0.5),            // tr at its limit: a = 1
+            (0.25, 0.5 + 5e-10),    // inside the 1e-9 slack: b clamped to 1
+            (1e-3, 2e-3),
+            (0.4, f64::NAN),        // a NaN toggle rate never draws a flip
+        ];
+        for width in [1u8, 7, 12, 16, 64] {
+            for (i, &(p_one, toggle_rate)) in pairs.iter().enumerate() {
+                let seed = 0x5EED ^ ((width as u64) << 8) ^ i as u64;
+                let mut stim = MarkovStim::new(width, p_one, toggle_rate, seed).unwrap();
+                let mut values: Vec<u64> = (0..3000).map(|c| stim.next_value(c)).collect();
+                values.push(stim.rng.next_u64());
+                assert_eq!(
+                    values,
+                    reference_markov(width, p_one, toggle_rate, seed, 3000),
+                    "width {width}, p {p_one}, tr {toggle_rate}"
+                );
+            }
         }
     }
 

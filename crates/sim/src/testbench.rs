@@ -132,19 +132,25 @@ impl<'a> Testbench<'a> {
     /// non-input net, or a stimulus spec is invalid. Inputs missing from the
     /// plan are reported at [`Testbench::run`].
     pub fn from_plan(netlist: &'a Netlist, plan: &StimulusPlan) -> Result<Self, SimError> {
-        let mut tb = Testbench::new(netlist);
-        tb.default_seed = plan.seed;
-        for (name, spec) in &plan.drivers {
-            let net = netlist
-                .find_net(name)
-                .ok_or_else(|| SimError::UnknownInput(name.clone()))?;
-            if !netlist.net(net).is_primary_input() {
-                return Err(SimError::NotAnInput(name.clone()));
-            }
-            let stim = spec.instantiate(netlist.net(net).width(), plan.seed_for(name))?;
-            tb.drivers.push((net, stim));
+        let drivers = instantiate_plan(netlist, plan)?
+            .into_iter()
+            .map(|(net, _, stim)| (net, stim))
+            .collect();
+        Ok(Testbench::with_drivers(netlist, plan.seed, drivers))
+    }
+
+    /// A testbench over ready drivers, with `seed` as the master seed
+    /// [`Testbench::drive_spec`] derives from.
+    pub(crate) fn with_drivers(
+        netlist: &'a Netlist,
+        seed: u64,
+        drivers: Vec<(NetId, Box<dyn Stimulus>)>,
+    ) -> Self {
+        Testbench {
+            drivers,
+            default_seed: seed,
+            ..Testbench::new(netlist)
         }
-        Ok(tb)
     }
 
     /// Attaches a ready-made stimulus to a primary input.
@@ -373,6 +379,31 @@ impl<'a> Testbench<'a> {
         report.set_net_counts(cycles, toggles, ones);
         Ok(report)
     }
+}
+
+/// One plan driver: its input net, its spec and a live instance.
+pub(crate) type PlanDriver<'p> = (NetId, &'p StimulusSpec, Box<dyn Stimulus>);
+
+/// Resolves a plan's drivers in plan order and instantiates each live,
+/// failing at the first driver [`Testbench::from_plan`] refuses: an
+/// unknown name, a net that is not a primary input, or an invalid spec.
+pub(crate) fn instantiate_plan<'p>(
+    netlist: &Netlist,
+    plan: &'p StimulusPlan,
+) -> Result<Vec<PlanDriver<'p>>, SimError> {
+    plan.drivers
+        .iter()
+        .map(|(name, spec)| {
+            let net = netlist
+                .find_net(name)
+                .ok_or_else(|| SimError::UnknownInput(name.clone()))?;
+            if !netlist.net(net).is_primary_input() {
+                return Err(SimError::NotAnInput(name.clone()));
+            }
+            let stim = spec.instantiate(netlist.net(net).width(), plan.seed_for(name))?;
+            Ok((net, spec, stim))
+        })
+        .collect()
 }
 
 #[cfg(test)]
