@@ -45,6 +45,7 @@
 pub mod analytic;
 pub mod engine;
 pub mod memo;
+pub mod recording;
 pub mod replay;
 pub mod stats;
 pub mod stimulus;
@@ -55,6 +56,7 @@ pub mod vcd;
 pub use analytic::{propagate as propagate_activity, ActivityEstimate, BitStats};
 pub use engine::{EngineKind, Simulator};
 pub use memo::{MemoStats, SimMemo};
+pub use recording::{InputRecording, RECORDING_BUDGET};
 pub use replay::{replay_vector, VectorAssignment, VectorOutcome};
 pub use stats::SimReport;
 pub use stimulus::{Stimulus, StimulusError, StimulusPlan, StimulusSpec};
